@@ -115,9 +115,6 @@ def _round_div(a: int, b: int) -> int:
     return (2 * a + b) // (2 * b)
 
 
-_GI_RE = None
-
-
 def parse_gaussian(s: str) -> GaussianInt:
     """Parse strings like "5", "1+2i", "-3i", "i", "2-i"."""
     import re as _re
@@ -258,6 +255,11 @@ class MaximalIdeal:
         return f"MaximalIdeal({self.ring_kind}, {self.generator})"
 
 
+def place_key(m: MaximalIdeal) -> tuple[int, int, int]:
+    """Sort key for places: by residue characteristic, then generator."""
+    return m.residue_char, m.gen_re, m.gen_im
+
+
 @dataclass(frozen=True)
 class BaseRing:
     """Z or Z[i]; the localized variant carries a distinguished maximal
@@ -374,7 +376,7 @@ class FractionalIdealR:
         items = tuple(
             sorted(
                 ((m, e) for m, e in factors.items() if e != 0),
-                key=lambda t: (t[0].residue_char, t[0].gen_re, t[0].gen_im),
+                key=lambda t: place_key(t[0]),
             )
         )
         return FractionalIdealR(ring.kind, items)

@@ -21,13 +21,13 @@ from .base_rings import (
     ZZ,
     ZI,
     BaseRing,
-    FractionalIdealR,
     KElem,
     MaximalIdeal,
     RingError,
     ideal_from_json,
     maximal_ideals_above,
     parse_gaussian,
+    place_key,
 )
 from .graded import (
     GradedError,
@@ -55,15 +55,21 @@ from .groups import (
     symmetric_group,
 )
 from .oracle import OracleError, RankCapExceeded, oracle_report
-from .pic import NotHereditary, PicClass, construct_class_representative, picent_global
+from .pic import (
+    NotHereditary,
+    PicClass,
+    PicError,
+    construct_class_representative,
+    picent_global,
+)
 from .semiprime import main_hereditary_verdict, orbit_decompose
 from .tiled import (
     ExponentMatrix,
+    FractionalIdealMatrix,
     GlobalTiledOrder,
     OrderError,
     hereditary_staircase,
-    ideal_multiply,
-    order_ideal,
+    ideal_power,
     radical,
     validate_global_order,
     validate_order,
@@ -93,28 +99,37 @@ def _parse_place(ring: BaseRing, text: str) -> MaximalIdeal:
     text = text.strip().strip("()")
     try:
         z = parse_gaussian(text)
+        if ring.kind == "Z":
+            if z.im != 0:
+                raise InputError(f"prime: {text!r} is not a rational prime")
+            return maximal_ideals_above(ZZ, abs(z.re))[0]
+        # over Z[i] the place is the one whose generator is an associate of z
+        p = z.norm() if z.im else abs(z.re)
+        for m in maximal_ideals_above(ring, p):
+            q, r = divmod(z, m.generator)
+            if r.re == 0 and r.im == 0 and q.norm() == 1:
+                return m
     except RingError as e:
         raise InputError(f"prime: {e}") from None
-    if ring.kind == "Z":
-        if z.im != 0:
-            raise InputError(f"prime: {text!r} is not a rational prime")
-        for m in maximal_ideals_above(ZZ, abs(z.re)):
-            return m
-        raise InputError(f"prime: {text!r} is not prime")
-    # over Z[i] the place is the one whose generator is an associate of z
-    p = z.norm() if z.im else abs(z.re)
-    for m in maximal_ideals_above(ring, p):
-        q, r = divmod(z, m.generator)
-        if r.re == 0 and r.im == 0 and q.norm() == 1:
-            return m
     raise InputError(f"prime: cannot identify the place of {text!r}")
 
 
-def _entries_matrix(obj) -> list[list[int]]:
-    entries = obj.get("entries")
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise InputError("entries: expected a matrix (list of lists)")
-    return entries
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _as_int(value, field: str) -> int:
+    if not _is_int(value):
+        raise InputError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
+def _matrix(value, field: str, cell=lambda x: True) -> list[list]:
+    if not isinstance(value, list) or not all(
+        isinstance(r, list) and all(cell(x) for x in r) for r in value
+    ):
+        raise InputError(f"{field}: expected a matrix (list of lists)")
+    return value
 
 
 def parse_tiled_local(obj) -> ExponentMatrix:
@@ -123,16 +138,21 @@ def parse_tiled_local(obj) -> ExponentMatrix:
         raise InputError("prime: required for a local tiled order")
     place = _parse_place(ring, str(obj["prime"]))
     if "staircase" in obj:
-        return hereditary_staircase(tuple(obj["staircase"]), ring, place)
+        blocks = obj["staircase"]
+        if not isinstance(blocks, list) or not blocks or not all(
+            _is_int(b) and b > 0 for b in blocks
+        ):
+            raise InputError("staircase: expected a non-empty list of positive block sizes")
+        return hereditary_staircase(tuple(blocks), ring, place)
     try:
-        return validate_order(_entries_matrix(obj), ring, place)
+        return validate_order(_matrix(obj.get("entries"), "entries", _is_int), ring, place)
     except OrderError as e:
         raise InputError(f"entries: {e}") from None
 
 
 def parse_tiled_global(obj) -> GlobalTiledOrder:
     ring = _parse_ring(obj)
-    entries = _entries_matrix(obj)
+    entries = _matrix(obj.get("entries"), "entries")
     try:
         rows = [[ideal_from_json(ring, cell) for cell in row] for row in entries]
         return validate_global_order(ring, rows)
@@ -140,48 +160,57 @@ def parse_tiled_global(obj) -> GlobalTiledOrder:
         raise InputError(f"entries: {e}") from None
 
 
-def _parse_delta(obj):
-    if not isinstance(obj, dict):
-        raise InputError("delta: expected an object")
-    if "prime" in obj or "staircase" in obj:
-        return parse_tiled_local(obj)
-    return parse_tiled_global(obj)
+def _radical_power(delta: ExponentMatrix, spec) -> FractionalIdealMatrix:
+    """The grading bimodule of a local pic-construction."""
+    k = _as_int(spec.get("radpower", 1), "radpower")
+    if k < 0:
+        raise InputError(f"radpower: expected a non-negative power, got {k}")
+    return ideal_power(radical(delta), k)
 
 
-def _pic_bimodule(delta, spec):
-    """The grading bimodule of a pic-construction: a radical power for a
-    local base, or a Picard class table for a global one."""
-    if isinstance(delta, ExponentMatrix):
-        k = int(spec.get("radpower", 1))
-        x = order_ideal(delta)
-        r = radical(delta)
-        for _ in range(k):
-            x = ideal_multiply(x, r)
-        return x
+def _class_representative(delta: GlobalTiledOrder, spec):
+    """The grading bimodule of a global pic-construction, from its Picard
+    class table."""
     table = spec.get("class")
     if not isinstance(table, dict):
         raise InputError("class: pic-construction over a global base needs a class table")
-    classes = {}
-    for text, k in table.items():
-        classes[_parse_place(delta.ring, text)] = int(k)
-    return construct_class_representative(delta, PicClass.of(classes))
+    classes = {
+        _parse_place(delta.ring, text): _as_int(k, "class") for text, k in table.items()
+    }
+    try:
+        return construct_class_representative(delta, PicClass.of(classes))
+    except PicError as e:
+        raise InputError(f"class: {e}") from None
 
 
-def _parse_explicit(obj, delta) -> GradedOrder:
-    if not isinstance(delta, ExponentMatrix):
-        raise InputError("kind: explicit graded orders are supported over local bases")
+def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
     group = group_from_json(obj.get("group", {}))
     base = LocalBase((delta,))
     comps = {}
-    for key, cobj in obj.get("components", {}).items():
+    table = obj.get("components", {})
+    if not isinstance(table, dict) or not all(isinstance(c, dict) for c in table.values()):
+        raise InputError("components: expected an object of component objects")
+    for key, cobj in table.items():
         g = perm_from_cycles(key, group.degree)
-        mats = cobj["mats"] if "mats" in cobj else [cobj["entries"]]
+        if "mats" in cobj:
+            mats = cobj["mats"]
+        elif "entries" in cobj:
+            mats = [cobj["entries"]]
+        else:
+            raise InputError(f"components: {key} needs 'entries' or 'mats'")
+        if not isinstance(mats, list):
+            raise InputError(f"components: {key}: expected a list of matrices")
         comps[g] = LocalComponent(
             tuple(cobj.get("perm", [0])),
-            tuple(tuple(tuple(r) for r in mat) for mat in mats),
+            tuple(tuple(map(tuple, _matrix(mat, "components", _is_int))) for mat in mats),
         )
     gamma = {}
-    for key, scalars in obj.get("gamma", {}).items():
+    table = obj.get("gamma", {})
+    if not isinstance(table, dict) or not all(
+        key.count("|") == 1 and isinstance(v, list) for key, v in table.items()
+    ):
+        raise InputError("gamma: expected an object mapping 'g|h' to a list of scalars")
+    for key, scalars in table.items():
         gk, hk = key.split("|")
         g = perm_from_cycles(gk, group.degree)
         h = perm_from_cycles(hk, group.degree)
@@ -191,10 +220,10 @@ def _parse_explicit(obj, delta) -> GradedOrder:
     return graded_order(group, base, comps, gamma)
 
 
-def _parse_crossed(obj, delta) -> GradedOrder:
-    if not isinstance(delta, ExponentMatrix):
-        raise InputError("kind: crossed products are supported over local bases")
-    copies = int(obj.get("copies", 1))
+def _parse_crossed(obj, delta: ExponentMatrix) -> GradedOrder:
+    copies = _as_int(obj.get("copies", 1), "copies")
+    if copies < 1:
+        raise InputError(f"copies: expected a positive count, got {copies}")
     group = group_from_json(obj.get("group", {}))
     if group.degree != copies:
         raise InputError("group: degree must match the number of summands")
@@ -209,14 +238,23 @@ def parse_graded(obj) -> GradedOrder:
     if not isinstance(obj, dict):
         raise InputError("input: expected a JSON object")
     kind = obj.get("kind", "pic-construction")
-    delta = _parse_delta(obj.get("delta", {}))
+    dobj = obj.get("delta", {})
+    if not isinstance(dobj, dict):
+        raise InputError("delta: expected an object")
+    local = "prime" in dobj or "staircase" in dobj
+    delta = parse_tiled_local(dobj) if local else parse_tiled_global(dobj)
     try:
         if kind == "pic-construction":
-            x = _pic_bimodule(delta, obj)
-            return construct_from_pic(delta, x, obj.get("n"))
+            x = _radical_power(delta, obj) if local else _class_representative(delta, obj)
+            n = obj.get("n")
+            return construct_from_pic(delta, x, None if n is None else _as_int(n, "n"))
         if kind == "crossed-product":
+            if not local:
+                raise InputError("kind: crossed products are supported over local bases")
             return _parse_crossed(obj, delta)
         if kind == "explicit":
+            if not local:
+                raise InputError("kind: explicit graded orders are supported over local bases")
             return _parse_explicit(obj, delta)
     except (GradedError, GroupError, OrderError, RingError) as e:
         raise InputError(str(e)) from None
@@ -351,10 +389,13 @@ def cmd_classify(args) -> int:
 def cmd_oracle_check(args) -> int:
     raw = _load(args.input)
     order = parse_graded(raw)
-    places = order.places()
     if args.place:
-        ring = order.base.ring
-        places = (_parse_place(ring, args.place),)
+        places = [_parse_place(order.base.ring, args.place)]
+    else:
+        # the verdict also examines places off the data support
+        verdict = main_hereditary_verdict(order)
+        places = set(order.places()) | {e.place for e in verdict.breakdown}
+        places = sorted(places, key=place_key)
     reports = []
     try:
         for m in places:
@@ -386,7 +427,7 @@ def load_fixture(name: str):
 
 def _assertions_outer(raw):
     order = parse_graded(raw)
-    delta = _parse_delta(raw["delta"])
+    delta = parse_tiled_global(raw["delta"])
     pg = picent_global(delta)
     yield "Picent(delta) = Z/5 + Z/5", [lp.cyclic_order for _, lp in pg.components] == [5, 5]
     full = Subgroup(order.group, tuple(order.group.elements))

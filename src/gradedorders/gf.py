@@ -174,23 +174,6 @@ def residue_map(ring: BaseRing, m: MaximalIdeal):
 # Dense linear algebra over a Field (generic, exact)
 
 
-def mat_mul(field: Field, a, b):
-    rb = len(b)
-    cols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        orow = []
-        for j in range(cols):
-            acc = field.zero
-            for k in range(rb):
-                x = row[k]
-                if not field.is_zero(x):
-                    acc = field.add(acc, field.mul(x, b[k][j]))
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def rref(field: Field, rows):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     mat = [list(r) for r in rows]
@@ -237,23 +220,6 @@ def nullspace(field: Field, rows):
             vec[pc] = field.neg(mat[r][fc])
         basis.append(vec)
     return basis
-
-
-def row_space_rank(field: Field, rows) -> int:
-    return rank(field, rows)
-
-
-def solve(field: Field, a, b):
-    """One solution x of A x = b, or None; A given as rows, b a vector."""
-    aug = [list(r) + [bv] for r, bv in zip(a, b)]
-    mat, pivots = rref(field, aug)
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = mat[r][ncols]
-    return x
 
 
 def charpoly(field: Field, a):

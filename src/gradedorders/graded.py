@@ -7,17 +7,20 @@ Products of components may wrap through a fixed central scalar per pair
 of grades (gamma); strong grading means the scaled product of any two
 components equals the component of the product grade exactly.
 
-All grade bookkeeping is exact; a global graded order is validated place
-by place over the finite support of its data.
+All grade bookkeeping is exact.  The engine runs on local data only: a
+global graded order is its group and gamma plus the local graded order at
+each place of the finite support of its data, and is maximal, with zero
+exponents, at every other place.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .base_rings import (
+    ZZ,
     BaseRing,
     FractionalIdealR,
     KElem,
@@ -26,8 +29,7 @@ from .base_rings import (
     is_principal,
     kelem_valuation,
     maximal_ideals_above,
-    normalize_scalar,
-    valuation,
+    place_key,
 )
 from .groups import (
     FiniteGroup,
@@ -41,21 +43,18 @@ from .groups import (
 from .tiled import (
     ExponentMatrix,
     FractionalIdealMatrix,
-    GlobalIdealMatrix,
     GlobalTiledOrder,
     IntMatrix,
     NotHereditary,
-    OrderError,
     constant_shift_of,
-    global_localize_ideal,
+    ideal_multiply,
     is_free_left_module,
-    is_hereditary_global,
     is_hereditary_local,
     localize,
     minplus,
+    order_ideal,
     shift,
     validate_order,
-    zero_pair_classes,
 )
 
 
@@ -119,112 +118,69 @@ class LocalBase:
 
 
 @dataclass(frozen=True)
-class GlobalBase:
-    """Direct sum of prime global tiled orders over a common base ring."""
-
-    blocks: tuple[GlobalTiledOrder, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def ring(self) -> BaseRing:
-        return self.blocks[0].ring
-
-
-@dataclass(frozen=True)
 class LocalComponent:
     perm: Perm  # block row i holds its block at column position perm[i]
     mats: tuple[IntMatrix, ...]
 
 
-@dataclass(frozen=True)
-class GlobalComponent:
-    perm: Perm
-    mats: tuple[tuple[tuple[FractionalIdealR, ...], ...], ...]
-
-
-Component = LocalComponent | GlobalComponent
-GammaMap = Mapping[tuple[Perm, Perm], tuple[KElem, ...]]
-
-
 @dataclass
 class GradedOrder:
+    """A strongly graded order.
+
+    A local graded order is its base and components at the place of its
+    base.  A global one keeps the local graded order at each place of its
+    support in ``completions``; its own base (over the global ring, with no
+    place) and components are the all-zero data that every completion off
+    the support shares."""
+
     group: FiniteGroup
-    base: LocalBase | GlobalBase
-    components: dict[Perm, Component]
+    base: LocalBase
+    components: dict[Perm, LocalComponent]
     gamma: dict[tuple[Perm, Perm], tuple[KElem, ...]] = field(default_factory=dict)
+    completions: dict[MaximalIdeal, GradedOrder] | None = None
 
     @property
     def is_local(self) -> bool:
-        return isinstance(self.base, LocalBase)
+        return self.completions is None
 
     @property
     def is_prime(self) -> bool:
         return self.base.t == 1
 
-    def component(self, g: Perm) -> Component:
-        return self.components[g]
-
     def gamma_at(self, g: Perm, h: Perm) -> tuple[KElem, ...]:
         return self.gamma.get((g, h), tuple(KONE for _ in range(self.base.t)))
 
+    def local_orders(self) -> list[GradedOrder]:
+        """The local graded orders holding all of the data: the order itself,
+        or its completions at the places of its support."""
+        return [self] if self.is_local else list(self.completions.values())
+
     def places(self) -> tuple[MaximalIdeal, ...]:
-        """All maximal ideals supporting any datum of a global graded order."""
-        if self.is_local:
-            return (self.base.place,) if self.base.place else ()
-        out = set()
-        for blk in self.base.blocks:
-            out.update(blk.support)
-        for comp in self.components.values():
-            for mat in comp.mats:
-                for row in mat:
-                    for ideal in row:
-                        out.update(ideal.support())
-        ring = self.base.ring
-        for scalars in self.gamma.values():
-            for c in scalars:
-                num, den = c.as_int_pair()
-                for ideal_gen in (num,):
-                    out.update(
-                        FractionalIdealR.principal(ring, ideal_gen).support()
-                    )
-                if den != 1:
-                    out.update(
-                        FractionalIdealR.principal(ring, den).support()
-                    )
-        return tuple(sorted(out, key=lambda m: (m.residue_char, m.gen_re, m.gen_im)))
+        """The places of the local orders that hold the data."""
+        return tuple(o.base.place for o in self.local_orders() if o.base.place)
 
     def localize(self, m: MaximalIdeal) -> GradedOrder:
         if self.is_local:
             if self.base.place != m:
                 raise GradedError("graded order lives at a different place")
             return self
-        blocks = tuple(localize(blk, m) for blk in self.base.blocks)
-        comps = {}
-        for g, comp in self.components.items():
-            mats = tuple(
-                tuple(
-                    tuple(valuation(ideal, m) for ideal in row) for row in mat
-                )
-                for mat in comp.mats
-            )
-            comps[g] = LocalComponent(comp.perm, mats)
-        return GradedOrder(self.group, LocalBase(blocks), comps, dict(self.gamma))
+        if m in self.completions:
+            return self.completions[m]
+        ring = self.base.ring.localize(m)
+        blocks = tuple(replace(blk, ring=ring, place=m) for blk in self.base.blocks)
+        return GradedOrder(self.group, LocalBase(blocks), dict(self.components), self.gamma)
 
 
-def identity_component(base: LocalBase | GlobalBase) -> Component:
-    e = identity_perm(base.t)
-    if isinstance(base, LocalBase):
-        return LocalComponent(e, tuple(blk.entries for blk in base.blocks))
-    return GlobalComponent(e, tuple(blk.entries for blk in base.blocks))
+def identity_component(base: LocalBase) -> LocalComponent:
+    return LocalComponent(
+        identity_perm(base.t), tuple(blk.entries for blk in base.blocks)
+    )
 
 
 def graded_order(
     group: FiniteGroup,
-    base: LocalBase | GlobalBase,
-    components: dict[Perm, Component],
+    base: LocalBase,
+    components: dict[Perm, LocalComponent],
     gamma: dict | None = None,
     validate: bool = True,
 ) -> GradedOrder:
@@ -243,12 +199,8 @@ def graded_order(
 # Strong grading validation
 
 
-def _block_sizes(base: LocalBase | GlobalBase) -> tuple[int, ...]:
+def _block_sizes(base: LocalBase) -> tuple[int, ...]:
     return tuple(blk.n for blk in base.blocks)
-
-
-def _scalar_valuation(ring: BaseRing, c: KElem, m: MaximalIdeal) -> int:
-    return kelem_valuation(ring, c, m)
 
 
 def _local_component_product(
@@ -264,51 +216,36 @@ def _local_component_product(
 
 def validate_strong_grading(order: GradedOrder):
     """Exact equality of scaled component products with the component of
-    the product grade, for every pair; returns (ok, witness)."""
-    group = order.group
-    els = group.elements
-    t = order.base.t
-    if set(order.components) != set(els):
-        raise GradedError("component map is not total on the group")
-    sizes = _block_sizes(order.base)
-    for g, comp in order.components.items():
-        if sorted(comp.perm) != list(range(t)):
-            raise GradedError("component block permutation is invalid")
-        for i in range(t):
-            mat = comp.mats[i]
-            if len(mat) != sizes[i] or any(len(r) != sizes[comp.perm[i]] for r in mat):
-                raise GradedError("component block has wrong shape")
-    if order.is_local:
-        views = {None: _local_views(order)}
-        ring, place = order.base.ring, order.base.place
-        places = [place] if place is not None else [None]
-        gamma_val = lambda c, m: (
-            0 if m is None else _scalar_valuation(ring, c, m)
-        )
-    else:
-        places = list(order.places())
-        views = {m: _local_views(order.localize(m)) for m in places}
-        ring = order.base.ring
-        gamma_val = lambda c, m: _scalar_valuation(ring, c, m)
+    the product grade, for every pair and at every local order holding the
+    data; returns (ok, witness)."""
+    els = order.group.elements
+    local_orders = order.local_orders()
+    for local in local_orders:
+        t = local.base.t
+        if set(local.components) != set(els):
+            raise GradedError("component map is not total on the group")
+        sizes = _block_sizes(local.base)
+        for comp in local.components.values():
+            if sorted(comp.perm) != list(range(t)):
+                raise GradedError("component block permutation is invalid")
+            for i in range(t):
+                mat = comp.mats[i]
+                if len(mat) != sizes[i] or any(len(r) != sizes[comp.perm[i]] for r in mat):
+                    raise GradedError("component block has wrong shape")
     for g in els:
         for h in els:
             gh = pmul(g, h)
             gamma = order.gamma_at(g, h)
-            for m in places:
-                comps = views[m if not order.is_local else None]
-                a, b, c = comps[g], comps[h], comps[gh]
-                vals = tuple(gamma_val(x, m) for x in gamma)
-                prod = _local_component_product(a, b, vals)
-                if prod.perm != c.perm:
+            for local in local_orders:
+                ring, m = local.base.ring, local.base.place
+                comps = local.components
+                vals = tuple(0 if m is None else kelem_valuation(ring, c, m) for c in gamma)
+                prod = _local_component_product(comps[g], comps[h], vals)
+                if prod.perm != comps[gh].perm:
                     return False, (g, h, "block permutations disagree")
-                if prod.mats != c.mats:
+                if prod.mats != comps[gh].mats:
                     return False, (g, h, f"component mismatch at {m}")
     return True, None
-
-
-def _local_views(order: GradedOrder) -> dict[Perm, LocalComponent]:
-    assert order.is_local
-    return {g: comp for g, comp in order.components.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -317,120 +254,105 @@ def _local_views(order: GradedOrder) -> dict[Perm, LocalComponent]:
 
 def construct_from_pic(
     delta: ExponentMatrix | GlobalTiledOrder,
-    x: FractionalIdealMatrix | GlobalIdealMatrix,
+    x: FractionalIdealMatrix | Mapping[MaximalIdeal, FractionalIdealMatrix],
     n: int | None = None,
     search_bound: int = 64,
 ) -> GradedOrder:
     """The cyclic graded order with components the powers of x; the wrap
-    x**k = c * delta is fixed once, with c the canonical generator."""
-    local = isinstance(delta, ExponentMatrix)
-    if local:
-        if x.order != delta:
-            raise GradedError("bimodule is not over the given order")
-        ring, place = delta.ring, delta.place
+    x**k = c * delta is fixed once, with c the canonical generator.
+
+    Over a global order x maps places to local bimodules (the order itself
+    at a place it omits); powers and wraps are then taken place by place,
+    and the local shifts lift to one generator over the PID base."""
+    is_global = isinstance(delta, GlobalTiledOrder)
+    if is_global:
+        places = sorted(set(delta.support) | set(x), key=place_key)
+        deltas = [localize(delta, m) for m in places]
+        xs = [x.get(m, order_ideal(lam)) for m, lam in zip(places, deltas)]
     else:
-        if x.order != delta:
-            raise GradedError("bimodule is not over the given order")
-        ring = delta.ring
-    powers = [_one_ideal(delta)]
+        deltas, xs = [delta], [x]
+    if any(xm.order != lam for lam, xm in zip(deltas, xs)):
+        raise GradedError("bimodule is not over the given order")
+    if n is not None and n < 1:
+        raise NotFiniteOrder(f"requested order {n} is not positive")
+    powers = [[order_ideal(lam)] for lam in deltas]
+
+    def next_power() -> KElem | None:
+        for pw, xm in zip(powers, xs):
+            pw.append(ideal_multiply(pw[-1], xm))
+        return _scalar_quotient(delta.ring, deltas, [pw[-1] for pw in powers])
+
     wrap: KElem | None = None
-    order_found = None
+    k = 0
     limit = max(n or 0, search_bound)
-    for k in range(1, limit + 1):
-        powers.append(_ideal_mul(powers[-1], x))
-        c = _scalar_quotient(delta, powers[-1])
-        if c is not None:
-            order_found, wrap = k, c
-            break
-    if order_found is None:
+    while wrap is None and k < limit:
+        k += 1
+        wrap = next_power()
+    if wrap is None:
         raise NotFiniteOrder(
             f"no power of the bimodule up to {limit} is a scalar multiple of the order"
         )
     if n is None:
-        n = order_found
-    elif n != order_found:
-        if n % order_found != 0:
+        n = k
+    elif n != k:
+        if n % k != 0:
             raise NotFiniteOrder(
-                f"requested order {n} is not a multiple of the true order {order_found}"
+                f"requested order {n} is not a multiple of the true order {k}"
             )
         warnings.warn(
-            f"requested order {n} exceeds the minimal order {order_found}",
+            f"requested order {n} exceeds the minimal order {k}",
             NonMinimalOrder,
         )
-        while len(powers) <= n:
-            powers.append(_ideal_mul(powers[-1], x))
-        wrap = _scalar_quotient(delta, powers[n])
+        while k < n:
+            k += 1
+            wrap = next_power()
     group = cyclic_group(n)
     gen = group.generators[0] if n > 1 else group.identity
     grades = [group.identity]
     for _ in range(n - 1):
         grades.append(pmul(grades[-1], gen))
-    comps = {grades[i]: _as_component(delta, powers[i]) for i in range(n)}
     gamma = {}
     cinv = (wrap.inverse(),)
     for i in range(n):
         for j in range(n):
             if i + j >= n:
                 gamma[(grades[i], grades[j])] = cinv
-    base = LocalBase((delta,)) if local else GlobalBase((delta,))
-    return graded_order(group, base, comps, gamma)
-
-
-def _one_ideal(delta):
-    if isinstance(delta, ExponentMatrix):
-        from .tiled import order_ideal
-
-        return order_ideal(delta)
-    from .tiled import global_order_ideal
-
-    return global_order_ideal(delta)
-
-
-def _ideal_mul(a, b):
-    if isinstance(a, FractionalIdealMatrix):
-        from .tiled import ideal_multiply
-
-        return ideal_multiply(a, b)
-    from .tiled import global_ideal_multiply
-
-    return global_ideal_multiply(a, b)
-
-
-def _scalar_quotient(delta, power) -> KElem | None:
-    """The canonical scalar c with power == c * delta, if one exists."""
-    if isinstance(delta, ExponentMatrix):
-        s = constant_shift_of(power.entries, delta.entries)
-        if s is None:
-            return None
-        if delta.place is None:
-            if s != 0:
-                raise GradedError(
-                    "scalar wrap with nonzero valuation needs a place context"
-                )
-            return KONE
-        gen = KElem.from_gaussian(delta.place.generator)
-        return normalize_scalar(delta.ring or BaseRing("Z"), gen**s)
-    # global: per-place constant shifts, then the PID base yields a generator
-    shifts: dict[MaximalIdeal, int] = {}
-    places = set(delta.support) | set(power.support)
-    for m in places:
-        s = constant_shift_of(
-            global_localize_ideal(power, m).entries, localize(delta, m).entries
+    local_orders = [
+        graded_order(
+            group,
+            LocalBase((lam,)),
+            {g: LocalComponent((0,), (pw[i].entries,)) for i, g in enumerate(grades)},
+            gamma,
         )
+        for lam, pw in zip(deltas, powers)
+    ]
+    if not is_global:
+        return local_orders[0]
+    zero = ExponentMatrix(delta.n, tuple((0,) * delta.n for _ in range(delta.n)), delta.ring)
+    comps = {g: LocalComponent((0,), (zero.entries,)) for g in grades}
+    return GradedOrder(group, LocalBase((zero,)), comps, gamma, dict(zip(places, local_orders)))
+
+
+def _scalar_quotient(
+    ring: BaseRing | None,
+    deltas: list[ExponentMatrix],
+    powers: list[FractionalIdealMatrix],
+) -> KElem | None:
+    """The canonical scalar c with power == c * delta at every place, if
+    one exists."""
+    shifts: dict[MaximalIdeal, int] = {}
+    for lam, power in zip(deltas, powers):
+        s = constant_shift_of(power.entries, lam.entries)
         if s is None:
             return None
         if s:
-            shifts[m] = s
-    _, gen = is_principal(
-        FractionalIdealR.from_factors(BaseRing(delta.ring.kind), shifts)
-    )
+            if lam.place is None:
+                raise GradedError(
+                    "scalar wrap with nonzero valuation needs a place context"
+                )
+            shifts[lam.place] = s
+    _, gen = is_principal(FractionalIdealR.from_factors(ring or ZZ, shifts))
     return gen
-
-
-def _as_component(delta, ideal) -> Component:
-    if isinstance(delta, ExponentMatrix):
-        return LocalComponent((0,), (ideal.entries,))
-    return GlobalComponent((0,), (ideal.entries,))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +407,7 @@ def coboundary_cocycle(
 
 
 def construct_crossed_product(
-    base: LocalBase | GlobalBase,
+    base: LocalBase,
     group: FiniteGroup,
     datum: CrossedProductDatum,
 ) -> GradedOrder:
@@ -579,47 +501,26 @@ def _central_quotient(
     return tuple(out)
 
 
-def _delta_times_monomial(
-    base: LocalBase | GlobalBase, w: _BlockMonomial
-) -> Component:
+def _delta_times_monomial(base: LocalBase, w: _BlockMonomial) -> LocalComponent:
     """The lattice delta * w as a block component."""
     mats = []
-    for i in range(base.t):
-        mono = w.monos[i]
+    for blk, mono in zip(base.blocks, w.monos):
         inv = [0] * len(mono.perm)
         for k, c in enumerate(mono.perm):
             inv[c] = k
-        if isinstance(base, LocalBase):
-            blk = base.blocks[i]
-            ring, place = blk.ring, blk.place
-            n = blk.n
-            mat = tuple(
-                tuple(
-                    blk.entries[a][inv[b]]
-                    + (
-                        _scalar_valuation(ring, mono.scalars[inv[b]], place)
-                        if place is not None
-                        else _require_unit(mono.scalars[inv[b]])
-                    )
-                    for b in range(n)
-                )
-                for a in range(n)
+        vals = [
+            kelem_valuation(blk.ring, c, blk.place)
+            if blk.place is not None
+            else _require_unit(c)
+            for c in mono.scalars
+        ]
+        mats.append(
+            tuple(
+                tuple(blk.entries[a][inv[b]] + vals[inv[b]] for b in range(blk.n))
+                for a in range(blk.n)
             )
-        else:
-            blk = base.blocks[i]
-            ring = blk.ring
-            n = blk.n
-            mat = tuple(
-                tuple(
-                    blk.entries[a][inv[b]] * _principal_of(ring, mono.scalars[inv[b]])
-                    for b in range(n)
-                )
-                for a in range(n)
-            )
-        mats.append(mat)
-    if isinstance(base, LocalBase):
-        return LocalComponent(w.block_perm, tuple(mats))
-    return GlobalComponent(w.block_perm, tuple(mats))
+        )
+    return LocalComponent(w.block_perm, tuple(mats))
 
 
 def _require_unit(c: KElem) -> int:
@@ -629,14 +530,6 @@ def _require_unit(c: KElem) -> int:
             "monomial scalar must be a unit when no place context is given"
         )
     return 0
-
-
-def _principal_of(ring: BaseRing, c: KElem) -> FractionalIdealR:
-    num, den = c.as_int_pair()
-    out = FractionalIdealR.principal(ring, num)
-    if den != 1:
-        out = out * FractionalIdealR.principal(ring, den).inverse()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -690,17 +583,14 @@ def component_is_inner(
     order: GradedOrder, g: Perm, place: MaximalIdeal | None = None
 ) -> bool:
     """Whether the component of g is isomorphic to the identity component
-    as a bimodule, at one place or (place=None, global base) everywhere."""
-    if order.is_local:
-        if place is not None and place != order.base.place:
-            raise GradedError("graded order lives at a different place")
-        return _component_trivial_local(order.base, order.components[g])
-    if place is not None:
-        local = order.localize(place)
-        return _component_trivial_local(local.base, local.components[g])
-    # global: trivial at every place of the support; over the PID bases a
-    # consistent family of local shifts always lifts to one global scalar
-    return all(component_is_inner(order, g, m) for m in order.places())
+    as a bimodule, at one place or (place=None) at every local order
+    holding the data.  Over the PID bases a consistent family of local
+    shifts always lifts to one global scalar."""
+    local_orders = order.local_orders() if place is None else [order.localize(place)]
+    return all(
+        _component_trivial_local(local.base, local.components[g])
+        for local in local_orders
+    )
 
 
 def inner_classification(
@@ -712,10 +602,9 @@ def inner_classification(
         h for h in subgroup.elements if component_is_inner(order, h, place)
     )
     ctx = "global" if (place is None and not order.is_local) else f"at {place or order.base.place}"
-    result = InnerClassification(subgroup, inner, ctx)
-    closure = {pmul(a, b) for a in inner for b in inner}
-    assert closure == set(inner), "inner elements do not form a subgroup"
-    return result
+    if {pmul(a, b) for a in inner for b in inner} != set(inner):
+        raise GradedError("inner elements do not form a subgroup")
+    return InnerClassification(subgroup, inner, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +641,8 @@ def block_corner_graded_order(
 ) -> GradedOrder:
     """Corner by the central idempotent of one prime summand, graded by the
     stabilizer of that summand."""
+    if not order.is_local:
+        raise InvalidIdempotent("block corners apply to local graded orders")
     t = order.base.t
     if not 0 <= block < t:
         raise InvalidIdempotent(f"no block {block}")
@@ -761,15 +652,10 @@ def block_corner_graded_order(
                 "subgroup does not stabilize the chosen block"
             )
     new_group = FiniteGroup(order.group.degree, subgroup.generators)
-    base: LocalBase | GlobalBase
-    if order.is_local:
-        base = LocalBase((order.base.blocks[block],))
-    else:
-        base = GlobalBase((order.base.blocks[block],))
+    base = LocalBase((order.base.blocks[block],))
     comps = {}
     for h in new_group.elements:
-        comp = order.components[h]
-        comps[h] = type(comp)((0,), (comp.mats[block],))
+        comps[h] = LocalComponent((0,), (order.components[h].mats[block],))
     gamma = {}
     for h1 in new_group.elements:
         for h2 in new_group.elements:
@@ -800,9 +686,11 @@ class HereditaryVerdict:
 
 
 def _delta_hereditary(order: GradedOrder) -> bool:
-    if order.is_local:
-        return all(is_hereditary_local(blk) for blk in order.base.blocks)
-    return all(is_hereditary_global(blk)[0] for blk in order.base.blocks)
+    return all(
+        is_hereditary_local(blk)
+        for local in order.local_orders()
+        for blk in local.base.blocks
+    )
 
 
 def _places_containing(order: GradedOrder, p: int) -> list[MaximalIdeal | None]:
@@ -854,23 +742,3 @@ def prime_hereditary_verdict(
                 all_outer = False
             breakdown.append(VerdictEntry(orbit_index, p, m, syl, witness))
     return HereditaryVerdict(delta_ok and all_outer, delta_ok, tuple(breakdown))
-
-
-def prime_hereditary_at_place(order: GradedOrder, m: MaximalIdeal) -> bool:
-    """The completion of the graded order at m is hereditary."""
-    if not order.is_prime:
-        raise NotPrimeContext("prime verdict needs a prime identity component")
-    if order.is_local:
-        delta_ok = is_hereditary_local(order.base.blocks[0])
-    else:
-        delta_ok = is_hereditary_local(localize(order.base.blocks[0], m))
-    if not delta_ok:
-        return False
-    for p in _group_prime_divisors(order.group.order):
-        if m.residue_char != p:
-            continue
-        syl = sylow_subgroup(order.group, p)
-        cls = inner_classification(order, Subgroup(order.group, syl.generators), m)
-        if not cls.is_outer:
-            return False
-    return True

@@ -140,9 +140,6 @@ class FiniteGroup:
                 raise GroupError(f"generator {g} not in parent group")
         return Subgroup(self, tuple(gens))
 
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, ())
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -314,7 +311,8 @@ def orbits_and_stabilizers(action: GroupAction) -> list[OrbitData]:
         stab = Subgroup(
             g, tuple(x for x in g.elements if action.mapping(x, rep) == rep)
         )
-        assert len(orbit) * stab.order == g.order
+        if len(orbit) * stab.order != g.order:
+            raise ActionError("orbit size times stabilizer order is not the group order")
         out.append(OrbitData(tuple(orbit), rep, stab))
         remaining -= set(orbit)
     return out
@@ -330,6 +328,8 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj) -> FiniteGroup:
-    degree = int(obj["degree"])
+    if not isinstance(obj, dict) or not isinstance(obj.get("degree"), int):
+        raise GroupError("group: expected an object with an integer degree")
+    degree = obj["degree"]
     gens = tuple(perm_from_cycles(s, degree) for s in obj.get("gens", []))
     return FiniteGroup(degree, gens)

@@ -37,6 +37,9 @@ from .groups import pmul
 RANK_CAP = 200
 # ranks at or below this use the exact pure-python path; above it, numpy
 _NP_MIN_RANK = 12
+# the float64 matmuls in _np_row_basis and _np_certify sum up to rank
+# products of residues below p; they are exact only below 2**53
+_NP_EXACT_BOUND = 2**53
 
 
 class OracleError(ValueError):
@@ -72,7 +75,8 @@ class _WInt:
             t = (((-1 - r * r) // p) * pow(2 * r, -1, p)) % p
             self.r2 = (r + p * t) % self.mod
             pival = (g.re + self.r2 * g.im) % self.mod
-            assert pival % p == 0
+            if pival % p:
+                raise OracleError("lifted square root of -1 misses the place")
             self.pi_unit = (pival // p) % p
         self.pi_unit_inv = pow(self.pi_unit, -1, self.p)
 
@@ -223,12 +227,9 @@ class StructureConstantOrder:
 def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
     """Realize the completion of the graded order at m as a structure
     constant algebra; associativity is verified exhaustively."""
-    if not order.is_local:
-        local = order.localize(m)
-    else:
-        if order.base.place != m:
-            raise OracleError("graded order lives at a different place")
-        local = order
+    if order.is_local and order.base.place != m:
+        raise OracleError("graded order lives at a different place")
+    local = order.localize(m)
     base = local.base
     ring = base.ring
     if ring is None:
@@ -870,12 +871,21 @@ def _py_quotient(A: StructureConstantOrder, alg: _PyAlg, v):
 # Public operations
 
 
+def _use_numpy(A: StructureConstantOrder) -> bool:
+    """The NumPy kernels run over GF(p) above the rank threshold, and only
+    where their float64 products stay exact."""
+    return (
+        isinstance(A.field, PrimeField)
+        and A.rank > _NP_MIN_RANK
+        and A.rank * (A.field.p - 1) ** 2 < _NP_EXACT_BOUND
+    )
+
+
 def radical_mod_m(A: StructureConstantOrder):
     """Basis of the Jacobson radical of A/mA over the residue field,
     certified by nilpotency, the ideal property, and a zero re-run on the
     quotient algebra."""
-    use_np = isinstance(A.field, PrimeField) and A.rank > _NP_MIN_RANK
-    if use_np:
+    if _use_numpy(A):
         alg = _NpFlat(A)
         v = _np_basis(_np_radical_chain(alg), alg.p)
         _np_certify(alg, v)
@@ -922,9 +932,7 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
     rad = radical_mod_m(A)
     if len(rad) == 0:
         return True  # J = mA, always invertible
-    F = A.field
-    use_np = isinstance(F, PrimeField) and A.rank > _NP_MIN_RANK
-    if use_np:
+    if _use_numpy(A):
         return _np_invertibility(A, np.array(rad, dtype=np.int64))
     return _py_invertibility(A, [list(r) for r in rad])
 
@@ -1040,11 +1048,11 @@ def _py_invertibility(A, rad):
 
 def oracle_report(order: GradedOrder, m: MaximalIdeal) -> dict:
     """Cross-validation record: oracle verdict vs the structural engine."""
-    from .semiprime import hereditary_at_place
+    from .semiprime import main_hereditary_verdict
 
     A = flatten(order, m)
     oracle = hereditary_oracle(A)
-    engine = hereditary_at_place(order, m)
+    engine = main_hereditary_verdict(order.localize(m)).hereditary
     return {
         "place": str(m),
         "rank": A.rank,

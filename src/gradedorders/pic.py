@@ -4,26 +4,25 @@ At a single place the central Picard group of a hereditary order is cyclic
 of order t (the block count), generated by the radical; globally, over a
 PID base, it is the direct sum of the local groups over the places where
 the order is not maximal.  Invertible bimodules are classified by their
-radical-power class at each such place.
+radical-power class at each such place; a global bimodule is the map
+from those places to its local fractional ideal matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_rings import MaximalIdeal
+from .base_rings import MaximalIdeal, place_key
 from .tiled import (
     ExponentMatrix,
     FractionalIdealMatrix,
-    GlobalIdealMatrix,
     GlobalTiledOrder,
     NotHereditary,
     constant_shift_of,
-    global_localize_ideal,
     ideal_multiply,
+    ideal_power,
     is_hereditary_global,
     is_hereditary_local,
-    localize,
     order_ideal,
     radical,
     zero_pair_classes,
@@ -71,14 +70,7 @@ class PicClass:
 
     @staticmethod
     def of(classes: dict[MaximalIdeal, int]) -> PicClass:
-        return PicClass(
-            tuple(
-                sorted(
-                    ((m, c) for m, c in classes.items()),
-                    key=lambda t: (t[0].residue_char, t[0].gen_re, t[0].gen_im),
-                )
-            )
-        )
+        return PicClass(tuple(sorted(classes.items(), key=lambda t: place_key(t[0]))))
 
 
 def picent_local(order: ExponentMatrix) -> LocalPicent:
@@ -94,7 +86,8 @@ def picent_local(order: ExponentMatrix) -> LocalPicent:
         t += 1
         if t > order.n + 1:
             raise PicError("radical powers never reach a scalar multiple")
-    assert t == len(zero_pair_classes(order))
+    if t != len(zero_pair_classes(order)):
+        raise PicError("cyclic order differs from the number of projective classes")
     return LocalPicent(order, t, rad)
 
 
@@ -103,11 +96,10 @@ def picent_global(order: GlobalTiledOrder) -> GlobalPicent:
     if not ok:
         raise NotHereditary(f"order not hereditary at {failing}")
     comps = []
-    for m in order.support:
-        local = localize(order, m)
-        lp = picent_local(local)
+    for lam in order.local:
+        lp = picent_local(lam)
         if lp.cyclic_order > 1:
-            comps.append((m, lp))
+            comps.append((lam.place, lp))
     return GlobalPicent(tuple(comps))
 
 
@@ -130,12 +122,11 @@ def _local_class_of(x: FractionalIdealMatrix) -> int:
     raise NoMatchingPower("bimodule is not a radical power up to scalars")
 
 
-def pic_class_of(x: GlobalIdealMatrix) -> PicClass:
-    """Radical-power class of an invertible bimodule at each place where
-    the order is not maximal."""
+def pic_class_of(x: dict[MaximalIdeal, FractionalIdealMatrix]) -> PicClass:
+    """Radical-power class of an invertible bimodule, given by its local
+    matrices, at each place where the order is not maximal."""
     classes: dict[MaximalIdeal, int] = {}
-    for m in x.support:
-        local = global_localize_ideal(x, m)
+    for m, local in x.items():
         if len(zero_pair_classes(local.order)) == 1:
             # maximal localization: the bimodule must be scalar there
             ok, _ = bimodule_trivial_local(local)
@@ -150,36 +141,17 @@ def pic_class_of(x: GlobalIdealMatrix) -> PicClass:
 
 def construct_class_representative(
     order: GlobalTiledOrder, target: PicClass
-) -> GlobalIdealMatrix:
-    """An ideal matrix whose class is the target: glue the matching local
-    radical power at each relevant place (entrywise ideal assembly; the PID
-    base keeps every entry an honest fractional ideal)."""
-    from .base_rings import BaseRing, FractionalIdealR
-
-    non_maximal = {
-        m
-        for m in order.support
-        if len(zero_pair_classes(localize(order, m))) > 1
-    }
-    for m, k in target.per_place:
-        if m not in non_maximal:
+) -> dict[MaximalIdeal, FractionalIdealMatrix]:
+    """A bimodule whose class is the target: the matching local radical
+    power at each place where the order is not maximal, keyed by place."""
+    non_maximal = [lam for lam in order.local if len(zero_pair_classes(lam)) > 1]
+    places = {lam.place for lam in non_maximal}
+    for m, _ in target.per_place:
+        if m not in places:
             raise PicError(f"unsupported place {m}: order is maximal there")
-    n = order.n
-    exponents: dict[MaximalIdeal, list[list[int]]] = {}
-    for m in non_maximal:
-        local = localize(order, m)
-        k = target.as_dict().get(m, 0)
-        lp = picent_local(local)
-        power = order_ideal(local)
-        for _ in range(k % lp.cyclic_order):
-            power = ideal_multiply(power, lp.generator)
-        exponents[m] = [list(r) for r in power.entries]
-    ring = order.ring
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            fac = {m: exponents[m][i][j] for m in non_maximal}
-            row.append(FractionalIdealR.from_factors(BaseRing(ring.kind), fac))
-        rows.append(tuple(row))
-    return GlobalIdealMatrix(order, tuple(rows))
+    classes = target.as_dict()
+    out = {}
+    for lam in non_maximal:
+        lp = picent_local(lam)
+        out[lam.place] = ideal_power(lp.generator, classes.get(lam.place, 0) % lp.cyclic_order)
+    return out

@@ -12,27 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base_rings import MaximalIdeal
 from .graded import (
-    GradedError,
     GradedOrder,
     HereditaryVerdict,
     block_corner_graded_order,
-    inner_classification,
-    prime_hereditary_at_place,
     prime_hereditary_verdict,
     _delta_hereditary,
 )
-from .groups import (
-    GroupAction,
-    OrbitData,
-    Subgroup,
-    orbits_and_stabilizers,
-)
-
-
-class InconsistentBlockSupport(GradedError):
-    pass
+from .groups import GroupAction, OrbitData, orbits_and_stabilizers
 
 
 def idempotent_action(order: GradedOrder) -> GroupAction:
@@ -75,21 +62,3 @@ def main_hereditary_verdict(
         hereditary = hereditary and v.hereditary
         breakdown.extend(v.breakdown)
     return HereditaryVerdict(hereditary, delta_ok, tuple(breakdown))
-
-
-def hereditary_at_place(order: GradedOrder, m: MaximalIdeal) -> bool:
-    """The completion at m is hereditary: every orbit corner passes there."""
-    if order.is_prime:
-        return prime_hereditary_at_place(order, m)
-    return all(
-        prime_hereditary_at_place(oc.corner, m) for oc in orbit_decompose(order)
-    )
-
-
-def full_order_inner_count(
-    order: GradedOrder, subgroup: Subgroup, place: MaximalIdeal | None = None
-) -> int:
-    """How many elements of the subgroup act innerly on the whole graded
-    order (not on an orbit corner); an element moving any block is never
-    inner, so this can be strictly smaller than the corner count."""
-    return len(inner_classification(order, subgroup, place).inner_elements)

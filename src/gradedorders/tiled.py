@@ -3,8 +3,10 @@
 Locally (at one maximal ideal) a tiled order is an integer exponent matrix
 with zero diagonal and min-plus ring closure; fractional ideals over it
 are integer matrices with bimodule closure and may have negative entries.
-Globally a tiled order is a matrix of fractional ideals of the base ring
-that localizes to an exponent matrix at every maximal ideal.
+Globally, over the PID bases Z and Z[i], a tiled order is determined by its
+exponent matrix at each place of its finite support, and is maximal (the
+all-zero matrix) everywhere else; a global bimodule is likewise a map from
+places to local fractional ideal matrices.
 
 Containment of ideals is entrywise >= on exponents; products are min-plus.
 """
@@ -12,13 +14,12 @@ Containment of ideals is entrywise >= on exponents; products are min-plus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .base_rings import (
     BaseRing,
     FractionalIdealR,
     MaximalIdeal,
-    RingError,
+    place_key,
     valuation,
 )
 
@@ -92,9 +93,6 @@ class ExponentMatrix:
         ):
             raise OrderError("entries are not an n x n matrix")
 
-    def context(self) -> tuple[BaseRing | None, MaximalIdeal | None]:
-        return self.ring, self.place
-
 
 @dataclass(frozen=True)
 class FractionalIdealMatrix:
@@ -112,6 +110,8 @@ def validate_order(
 ) -> ExponentMatrix:
     entries = as_matrix(rows)
     n = len(entries)
+    if any(len(r) != n for r in entries):
+        raise OrderError("entries are not an n x n matrix")
     for i in range(n):
         if entries[i][i] != 0:
             raise ZeroDiagonalViolation(f"diagonal entry ({i},{i}) is {entries[i][i]}")
@@ -133,14 +133,6 @@ def _check_closure(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> None:
             for j in range(n):
                 if a[i][k] + b[k][j] < c[i][j]:
                     raise ClosureViolation(i, j, k)
-
-
-def validate_ideal(order: ExponentMatrix, rows) -> FractionalIdealMatrix:
-    entries = as_matrix(rows)
-    lam = order.entries
-    _check_closure(lam, entries, entries)
-    _check_closure(entries, lam, entries)
-    return FractionalIdealMatrix(order, entries)
 
 
 def order_ideal(order: ExponentMatrix) -> FractionalIdealMatrix:
@@ -344,110 +336,51 @@ def hereditary_staircase(
 
 @dataclass(frozen=True)
 class GlobalTiledOrder:
-    n: int
-    entries: tuple[tuple[FractionalIdealR, ...], ...]
-    ring: BaseRing
+    """A tiled order over a PID: one validated exponent matrix per place of
+    its support, sorted by place; off the support it is maximal."""
 
-    @cached_property
+    ring: BaseRing
+    n: int
+    local: tuple[ExponentMatrix, ...]
+
+    @property
     def support(self) -> tuple[MaximalIdeal, ...]:
-        places = set()
-        for row in self.entries:
-            for ideal in row:
-                places.update(ideal.support())
-        return tuple(
-            sorted(places, key=lambda m: (m.residue_char, m.gen_re, m.gen_im))
-        )
+        return tuple(lam.place for lam in self.local)
 
 
 def validate_global_order(
     ring: BaseRing, rows: list[list[FractionalIdealR]]
 ) -> GlobalTiledOrder:
     n = len(rows)
-    entries = tuple(tuple(r) for r in rows)
-    order = GlobalTiledOrder(n, entries, ring)
+    if any(len(r) != n for r in rows):
+        raise OrderError("entries are not an n x n matrix")
     for i in range(n):
-        if entries[i][i].factors != ():
+        if rows[i][i].factors != ():
             raise OrderError(f"diagonal entry ({i},{i}) is not the base ring")
-    for m in order.support:
-        localize(order, m)  # raises on a closure violation
-    return order
+    places = {m for row in rows for ideal in row for m in ideal.support()}
+    local = tuple(
+        validate_order(
+            [[valuation(ideal, m) for ideal in row] for row in rows],
+            ring.localize(m),
+            m,
+        )
+        for m in sorted(places, key=place_key)
+    )
+    return GlobalTiledOrder(ring, n, local)
 
 
 def localize(order: GlobalTiledOrder, m: MaximalIdeal) -> ExponentMatrix:
-    rows = tuple(
-        tuple(valuation(order.entries[i][j], m) for j in range(order.n))
-        for i in range(order.n)
-    )
-    return validate_order(rows, order.ring.localize(m), m)
+    for lam in order.local:
+        if lam.place == m:
+            return lam
+    zero = tuple((0,) * order.n for _ in range(order.n))
+    return ExponentMatrix(order.n, zero, order.ring.localize(m), m)
 
 
 def is_hereditary_global(
     order: GlobalTiledOrder,
 ) -> tuple[bool, list[MaximalIdeal]]:
-    """Check every maximal ideal where some entry has nonzero valuation;
-    everywhere else the localization is maximal, hence hereditary."""
-    failing = [
-        m for m in order.support if not is_hereditary_local(localize(order, m))
-    ]
+    """Check every place of the support; everywhere else the localization
+    is maximal, hence hereditary."""
+    failing = [lam.place for lam in order.local if not is_hereditary_local(lam)]
     return not failing, failing
-
-
-@dataclass(frozen=True)
-class GlobalIdealMatrix:
-    """A fractional bimodule over a global tiled order, entrywise ideals."""
-
-    order: GlobalTiledOrder
-    entries: tuple[tuple[FractionalIdealR, ...], ...]
-
-    @cached_property
-    def support(self) -> tuple[MaximalIdeal, ...]:
-        places = set(self.order.support)
-        for row in self.entries:
-            for ideal in row:
-                places.update(ideal.support())
-        return tuple(
-            sorted(places, key=lambda m: (m.residue_char, m.gen_re, m.gen_im))
-        )
-
-
-def global_order_ideal(order: GlobalTiledOrder) -> GlobalIdealMatrix:
-    return GlobalIdealMatrix(order, order.entries)
-
-
-def global_localize_ideal(
-    x: GlobalIdealMatrix, m: MaximalIdeal
-) -> FractionalIdealMatrix:
-    rows = tuple(
-        tuple(valuation(x.entries[i][j], m) for j in range(x.order.n))
-        for i in range(x.order.n)
-    )
-    return FractionalIdealMatrix(localize(x.order, m), rows)
-
-
-def global_ideal_multiply(
-    x: GlobalIdealMatrix, y: GlobalIdealMatrix
-) -> GlobalIdealMatrix:
-    if x.order != y.order:
-        raise OrderError("ideals over different orders")
-    n = x.order.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = x.entries[i][k] * y.entries[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        rows.append(tuple(row))
-    return GlobalIdealMatrix(x.order, tuple(rows))
-
-
-def validate_global_ideal(
-    order: GlobalTiledOrder, rows: list[list[FractionalIdealR]]
-) -> GlobalIdealMatrix:
-    x = GlobalIdealMatrix(order, tuple(tuple(r) for r in rows))
-    for m in x.support:
-        lam = localize(order, m)
-        validate_ideal(lam, global_localize_ideal(x, m).entries)
-    return x

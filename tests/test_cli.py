@@ -52,11 +52,33 @@ class TestCheck:
         assert code == 2
         assert "invalid JSON" in err
 
-    def test_schema_violation_names_field(self, tmp_path, capsys):
-        bad = {"kind": "pic-construction", "delta": {"ring": "Q"}}
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("ring", {"kind": "pic-construction", "delta": {"ring": "Q"}}),
+            ("staircase", {"delta": {"ring": "Z", "prime": "2", "staircase": ["x", 1]}}),
+            ("staircase", {"delta": {"ring": "Z", "prime": "2", "staircase": []}}),
+            ("n", {"delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]}, "n": "3"}),
+            ("radpower", {"delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]}, "radpower": "two"}),
+            (
+                "components",
+                {
+                    "kind": "explicit",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "group": {"degree": 2, "gens": ["(1 2)"]},
+                    "components": {"(1 2)": {"perm": [0]}},
+                },
+            ),
+            ("class", {"delta": GLOBAL_SIX, "class": {"5": 1}}),
+            ("group", {"kind": "crossed-product", "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]}, "group": {}}),
+            ("entries", {"delta": {"ring": "Z", "prime": "2", "entries": [[0, 1], [0]]}}),
+        ],
+        ids=["ring", "staircase-type", "staircase-empty", "n", "radpower", "components", "class", "group", "entries"],
+    )
+    def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
         code, _, err = run(capsys, "check", write(tmp_path, bad))
         assert code == 2
-        assert "ring" in err
+        assert err.startswith(f"error: {field}: ")
 
     def test_json_report_is_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, MAXIMAL_TRIVIAL)
@@ -110,6 +132,20 @@ class TestOracleCheck:
         rep = json.loads(out)
         assert rep["report"]["agree"] is True
         assert rep["report"]["places"][0]["rank"] == 18
+
+    def test_checks_every_place_the_verdict_examines(self, tmp_path, capsys):
+        # |G| = 2, so the verdict looks at (2) although the order is
+        # maximal there; the oracle disagrees at (2) (a known engine
+        # defect, pinned in test_oracle)
+        three = {
+            "ring": "Z",
+            "entries": [[{"factors": []}, {"factors": []}], [{"gen": 3}, {"factors": []}]],
+        }
+        spec = {"kind": "pic-construction", "delta": three, "class": {"3": 1}}
+        code, out, _ = run(capsys, "oracle-check", write(tmp_path, spec), "--json")
+        places = json.loads(out)["report"]["places"]
+        assert [r["place"] for r in places] == ["(2)", "(3)"]
+        assert code == 1
 
     def test_oversized_exit_two(self, tmp_path, capsys):
         big = {

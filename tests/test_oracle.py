@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from gradedorders.base_rings import ZZ, ZI, maximal_ideals_above
+from gradedorders import oracle
+from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, maximal_ideals_above
 from gradedorders.graded import LocalBase, graded_order, identity_component
 from gradedorders.groups import cyclic_group
 from gradedorders.oracle import (
@@ -22,6 +23,8 @@ from gradedorders.tiled import (
     validate_order,
 )
 from gradedorders.graded import construct_from_pic
+from gradedorders.pic import PicClass, construct_class_representative
+from gradedorders.tiled import validate_global_order
 
 M2 = maximal_ideals_above(ZZ, 2)[0]
 M3 = maximal_ideals_above(ZZ, 3)[0]
@@ -162,3 +165,34 @@ class TestReport:
         order = graded_order(G1, LocalBase((hereditary_staircase((1, 1), ZZ, M2),)), {})
         r = oracle_report(order, M2)
         assert set(r) == {"place", "rank", "oracle", "engine", "agree"}
+
+
+class TestNumpyExactness:
+    def test_large_prime_stays_on_exact_path(self, monkeypatch):
+        # float64 matmuls are exact only while rank * (p-1)**2 < 2**53; a
+        # rank-64 order at p = 2**31 - 1 must never enter the NumPy kernels
+        (mp,) = maximal_ideals_above(ZZ, 2**31 - 1)
+        delta = hereditary_staircase((1, 1, 1, 1), ZZ, mp)
+        order = construct_from_pic(delta, radical(delta))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("NumPy kernel entered beyond its exact range")
+
+        for name in ("_NpFlat", "_np_row_basis", "_np_rref", "_np_invertibility"):
+            monkeypatch.setattr(oracle, name, refuse)
+        r = oracle_report(order, mp)
+        assert r["rank"] == 64
+        assert r["oracle"] and r["engine"] and r["agree"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="engine says inner at (2), where the completion M2(Z2[sqrt 3]) is hereditary",
+)
+def test_engine_agrees_off_the_data_support():
+    one = FractionalIdealR.one(ZZ)
+    delta = validate_global_order(ZZ, [[one, one], [FractionalIdealR.principal(ZZ, 3), one]])
+    order = construct_from_pic(delta, construct_class_representative(delta, PicClass.of({M3: 1})))
+    r = oracle_report(order, M2)
+    assert r["oracle"] is True
+    assert r["agree"]

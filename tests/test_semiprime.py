@@ -11,8 +11,6 @@ from gradedorders.graded import (
 )
 from gradedorders.groups import Subgroup, cyclic_group, symmetric_group, sylow_subgroup
 from gradedorders.semiprime import (
-    full_order_inner_count,
-    hereditary_at_place,
     idempotent_action,
     main_hereditary_verdict,
     orbit_decompose,
@@ -82,7 +80,7 @@ class TestVerdict:
     def test_hereditary_at_place_matches(self):
         order = permuted_sum(3)
         v = main_hereditary_verdict(order)
-        assert hereditary_at_place(order, M2) == v.hereditary
+        assert main_hereditary_verdict(order.localize(M2)).hereditary == v.hereditary
 
     def test_corner_versus_full_inner_discrepancy(self):
         for d in (2, 3):
@@ -97,8 +95,10 @@ class TestVerdict:
                     corner, Subgroup(corner.group, tuple(syl.elements))
                 ).inner_elements
             )
-            full_inner = full_order_inner_count(
-                order, Subgroup(order.group, tuple(syl.elements))
+            full_inner = len(
+                inner_classification(
+                    order, Subgroup(order.group, tuple(syl.elements))
+                ).inner_elements
             )
             assert corner_inner == syl.order
             assert full_inner == 1

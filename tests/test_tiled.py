@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, maximal_ideals_above
+from gradedorders.pic import PicClass, construct_class_representative
 from gradedorders.tiled import (
     ClosureViolation,
     ExponentMatrix,
@@ -12,8 +13,6 @@ from gradedorders.tiled import (
     basic_idempotent_corner,
     constant_shift_of,
     dual_ideal,
-    global_localize_ideal,
-    global_order_ideal,
     hereditary_staircase,
     ideal_multiply,
     ideal_power,
@@ -182,6 +181,9 @@ class TestGlobal:
         order = self.make_order()
         local = localize(order, M2)
         assert local.entries == ((0, 0), (1, 0))
+        # off the support the order is maximal
+        (m5,) = maximal_ideals_above(ZZ, 5)
+        assert localize(order, m5).entries == ((0, 0), (0, 0))
 
     def test_hereditary_global(self):
         ok, failing = is_hereditary_global(self.make_order())
@@ -189,8 +191,9 @@ class TestGlobal:
 
     def test_global_radical_style_ideal(self):
         order = self.make_order()
-        ideal = global_order_ideal(order)
-        local = global_localize_ideal(ideal, M2)
+        # the trivial class is represented by the order itself, place by place
+        ideal = construct_class_representative(order, PicClass.of({}))
+        local = ideal[M2]
         assert local.entries == localize(order, M2).entries
 
     def test_not_hereditary_at_one_place(self):
