@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from sympy import factorint, sqrt_mod
 
@@ -146,45 +147,95 @@ def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
 # Elements of the quotient field K (= Q or Q(i))
 
 
-@dataclass(frozen=True)
 class KElem:
-    """An exact element of the quotient field, stored as re + im*i with
-    rational coordinates.  Elements over base Z simply have im == 0."""
+    """An exact element (a + b*i)/d of the quotient field, kept as three
+    integers in normal form: d > 0 and gcd(a, b, d) = 1.  Elements over
+    base Z have b == 0.
 
-    re: Fraction
-    im: Fraction
+    The normal form is unique, so equality and hashing compare the triples,
+    and every operation is a few integer products plus one gcd.  Instances
+    are immutable; ``KElem(re, im)`` accepts any two rationals."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re=0, im=0):
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        # already in normal form: a prime's full power in d is its full
+        # power in one of the two reduced denominators, so it misses that
+        # numerator
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KElem is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("KElem is immutable")
+
+    def __reduce__(self):
+        return _make, (self.a, self.b, self.d)
 
     @staticmethod
     def of(re, im=0) -> KElem:
-        return KElem(Fraction(re), Fraction(im))
+        if type(re) is int and type(im) is int:
+            return _make(re, im, 1)
+        return KElem(re, im)
 
     @staticmethod
     def from_gaussian(z: GaussianInt) -> KElem:
-        return KElem(Fraction(z.re), Fraction(z.im))
+        return _make(z.re, z.im, 1)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __eq__(self, other):
+        if other.__class__ is not KElem:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def __add__(self, other: KElem) -> KElem:
-        return KElem(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a + other.a, self.b + other.b, d1)
+        return _reduced(self.a * d2 + other.a * d1, self.b * d2 + other.b * d1, d1 * d2)
 
     def __sub__(self, other: KElem) -> KElem:
-        return KElem(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            return _reduced(self.a - other.a, self.b - other.b, d1)
+        return _reduced(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
     def __neg__(self) -> KElem:
-        return KElem(-self.re, -self.im)
+        return _make(-self.a, -self.b, self.d)
 
     def __mul__(self, other: KElem) -> KElem:
-        return KElem(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * other.d)
 
     def inverse(self) -> KElem:
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        return KElem(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other: KElem) -> KElem:
-        return self * other.inverse()
+        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
+            raise ZeroDivisionError("division by zero")
+        d2 = other.d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * n)
 
     def __pow__(self, k: int) -> KElem:
         if k < 0:
@@ -199,28 +250,47 @@ class KElem:
         return out
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def as_int_pair(self) -> tuple[GaussianInt, int]:
         """Write the element as (numerator, positive integer denominator)."""
-        den = self.re.denominator * self.im.denominator
-        g = GaussianInt(int(self.re * den), int(self.im * den))
-        from math import gcd
-
-        c = gcd(gcd(abs(g.re), abs(g.im)), den)
-        if c > 1:
-            g = GaussianInt(g.re // c, g.im // c)
-            den //= c
-        return g, den
+        return GaussianInt(self.a, self.b), self.d
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        return f"{self.re}{'+' if self.im >= 0 else '-'}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        return f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"
+
+    def __repr__(self) -> str:
+        return f"KElem({self.re!r}, {self.im!r})"
 
 
-KONE = KElem(Fraction(1), Fraction(0))
-KZERO = KElem(Fraction(0), Fraction(0))
+_new_kelem = object.__new__
+_set_a, _set_b, _set_d = KElem.a.__set__, KElem.b.__set__, KElem.d.__set__
+
+
+def _make(a: int, b: int, d: int) -> KElem:
+    """The element (a + b*i)/d, whose triple is already in normal form."""
+    x = _new_kelem(KElem)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> KElem:
+    """The element (a + b*i)/d for any d > 0, brought to normal form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _make(a, b, d)
+
+
+KONE = _make(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,34 +393,40 @@ def maximal_ideals_above(ring: BaseRing, p: int) -> list[MaximalIdeal]:
 
 
 def element_valuation(ring_kind: str, z: GaussianInt, m: MaximalIdeal) -> int:
-    """Exponent of m in the factorization of the nonzero ring element z."""
+    """Exponent of m in the factorization of the nonzero element z of the
+    ring of kind ring_kind."""
     if z.is_zero():
         raise RingError("valuation of zero")
+    return _valuation(z.re, z.im, m)
+
+
+def _valuation(a: int, b: int, m: MaximalIdeal) -> int:
+    """Exponent of m in the nonzero Gaussian integer a + b*i."""
     v = 0
-    if ring_kind == RING_Z:
-        a = abs(z.re)
-        p = m.gen_re
-        while a % p == 0:
-            a //= p
+    gr, gi = m.gen_re, m.gen_im
+    if gi == 0:  # m = (p): a rational prime, or an inert one of Z[i]
+        while a % gr == 0 and b % gr == 0:
+            a //= gr
+            b //= gr
             v += 1
         return v
-    g = m.generator
-    while g.divides(z):
-        z = z.exact_div(g)
+    # (a + b*i) / (gr + gi*i) = (a + b*i)(gr - gi*i) / q
+    q = gr * gr + gi * gi
+    while True:
+        x, y = a * gr + b * gi, b * gr - a * gi
+        if x % q or y % q:
+            return v
+        a, b = x // q, y // q
         v += 1
-    return v
 
 
 def kelem_valuation(ring: BaseRing, x: KElem, m: MaximalIdeal) -> int:
     """Valuation at m of a nonzero element of the quotient field."""
     if x.is_zero():
         raise RingError("valuation of zero")
-    num, den = x.as_int_pair()
-    if ring.kind == RING_Z and num.im != 0:
+    if ring.kind == RING_Z and x.b != 0:
         raise NotInRing("element has nonzero imaginary part over Z")
-    return element_valuation(ring.kind, num, m) - element_valuation(
-        ring.kind, GaussianInt(den, 0), m
-    )
+    return _valuation(x.a, x.b, m) - _valuation(x.d, 0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +525,12 @@ def normalize_scalar(ring: BaseRing, x: KElem) -> KElem:
     if x.is_zero():
         return x
     if ring.kind == RING_Z:
-        return KElem(abs(x.re), Fraction(0)) if x.im == 0 else x
-    z = x
+        return _make(abs(x.a), 0, x.d) if x.b == 0 else x
+    a, b = x.a, x.b
     for _ in range(4):
-        if z.re > 0 and z.im >= 0:
-            return z
-        z = z * KElem.of(0, 1)
+        if a > 0 and b >= 0:
+            return _make(a, b, x.d)
+        a, b = -b, a  # multiply by i
     return x
 
 

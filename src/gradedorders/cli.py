@@ -124,6 +124,13 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+def _perm(text, degree: int, field: str):
+    try:
+        return perm_from_cycles(text, degree)
+    except GroupError as e:
+        raise InputError(f"{field}: {e}") from None
+
+
 def _matrix(value, field: str, cell=lambda x: True) -> list[list]:
     if not isinstance(value, list) or not all(
         isinstance(r, list) and all(cell(x) for x in r) for r in value
@@ -191,7 +198,7 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
     if not isinstance(table, dict) or not all(isinstance(c, dict) for c in table.values()):
         raise InputError("components: expected an object of component objects")
     for key, cobj in table.items():
-        g = perm_from_cycles(key, group.degree)
+        g = _perm(key, group.degree, "components")
         if "mats" in cobj:
             mats = cobj["mats"]
         elif "entries" in cobj:
@@ -212,8 +219,8 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
         raise InputError("gamma: expected an object mapping 'g|h' to a list of scalars")
     for key, scalars in table.items():
         gk, hk = key.split("|")
-        g = perm_from_cycles(gk, group.degree)
-        h = perm_from_cycles(hk, group.degree)
+        g = _perm(gk, group.degree, "gamma")
+        h = _perm(hk, group.degree, "gamma")
         gamma[(g, h)] = tuple(
             KElem.from_gaussian(parse_gaussian(str(s))) for s in scalars
         )

@@ -139,9 +139,9 @@ def residue_map(ring: BaseRing, m: MaximalIdeal):
     if ring.kind == RING_Z:
 
         def red(x: KElem):
-            if x.im != 0:
+            if x.b != 0:
                 raise RingError("element has nonzero imaginary part over Z")
-            num, den = x.re.numerator, x.re.denominator
+            num, den = x.a, x.d
             while den % p == 0:
                 den //= p
                 if num % p:

@@ -73,9 +73,13 @@ def perm_to_cycles(p: Perm) -> str:
 
 
 def perm_from_cycles(s: str, degree: int) -> Perm:
+    if not isinstance(s, str):
+        raise GroupError(f"expected a cycle string, got {s!r}")
     s = s.strip()
     if s in ("()", "", "e", "1"):
         return identity_perm(degree)
+    if not _re.fullmatch(r"(\s*\([\d\s,]*\))+\s*", s):
+        raise GroupError(f"cannot parse cycle string {s!r}")
     out = list(range(degree))
     for cyc in _re.findall(r"\(([^()]*)\)", s):
         pts = [int(t) - 1 for t in cyc.replace(",", " ").split()]
@@ -130,13 +134,16 @@ class FiniteGroup:
     def identity(self) -> Perm:
         return identity_perm(self.degree)
 
+    @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        return frozenset(self.elements)
+
     def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
+        return p in self.element_set
 
     def subgroup(self, gens: list[Perm]) -> Subgroup:
-        mine = set(self.elements)
         for g in gens:
-            if g not in mine:
+            if g not in self.element_set:
                 raise GroupError(f"generator {g} not in parent group")
         return Subgroup(self, tuple(gens))
 
@@ -157,8 +164,12 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         return FiniteGroup(self.parent.degree, self.generators)
 
+    @cached_property
+    def element_set(self) -> frozenset[Perm]:
+        return frozenset(self.elements)
+
     def __contains__(self, p: Perm) -> bool:
-        return p in set(self.elements)
+        return p in self.element_set
 
     def __eq__(self, other) -> bool:
         return (
@@ -195,7 +206,7 @@ def conjugate_subgroup(h: Subgroup, g: Perm) -> Subgroup:
 
 
 def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
-    hset = set(sub.elements)
+    hset = sub.element_set
     gens = []
     for g in group.elements:
         gi = pinv(g)
@@ -331,5 +342,10 @@ def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict) or not isinstance(obj.get("degree"), int):
         raise GroupError("group: expected an object with an integer degree")
     degree = obj["degree"]
-    gens = tuple(perm_from_cycles(s, degree) for s in obj.get("gens", []))
-    return FiniteGroup(degree, gens)
+    gens = obj.get("gens", [])
+    if not isinstance(gens, list):
+        raise GroupError("group.gens: expected a list of cycle strings")
+    try:
+        return FiniteGroup(degree, tuple(perm_from_cycles(s, degree) for s in gens))
+    except GroupError as e:
+        raise GroupError(f"group.gens: {e}") from None

@@ -24,11 +24,10 @@ from .groups import GroupAction, OrbitData, orbits_and_stabilizers
 
 def idempotent_action(order: GradedOrder) -> GroupAction:
     """The right action of the grading group on the prime blocks of the
-    identity component, read off the component block permutations."""
+    identity component, read off the component block permutations.
+    ``orbits_and_stabilizers`` validates it before use."""
     perms = {g: comp.perm for g, comp in order.components.items()}
-    action = GroupAction(order.group, order.base.t, lambda g, i: perms[g][i])
-    action.validate()
-    return action
+    return GroupAction(order.group, order.base.t, lambda g, i: perms[g][i])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,7 @@
+import copy
+import math
+import pickle
+
 import pytest
 from fractions import Fraction
 
@@ -112,6 +116,100 @@ class TestKElem:
         p, _ = maximal_ideals_above(ZI, 5)
         x = KElem(Fraction(1, 5), Fraction(0))
         assert kelem_valuation(ZI, x, p) == -1
+
+
+# A reference model of K: a pair of Fractions (re, im), with the textbook
+# formulas.  KElem must agree with it on every operation.
+rationals = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+kvalues = st.tuples(rationals, st.one_of(st.just(Fraction(0)), rationals))
+nonzero_kvalues = kvalues.filter(lambda v: v != (0, 0))
+
+
+def model_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def model_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def model_str(x):
+    re, im = x
+    if im == 0:
+        return str(re)
+    return f"{re}{'+' if im >= 0 else '-'}{abs(im)}i"
+
+
+def assert_matches(k, x):
+    assert (k.re, k.im) == x
+    assert k.d > 0
+    assert math.gcd(k.a, k.b, k.d) == 1
+
+
+class TestKElemAgainstModel:
+    @given(kvalues, kvalues)
+    @settings(max_examples=300)
+    def test_ring_operations(self, x, y):
+        kx, ky = KElem(*x), KElem(*y)
+        assert_matches(kx, x)
+        assert_matches(kx + ky, (x[0] + y[0], x[1] + y[1]))
+        assert_matches(kx - ky, (x[0] - y[0], x[1] - y[1]))
+        assert_matches(-kx, (-x[0], -x[1]))
+        assert_matches(kx * ky, model_mul(x, y))
+        assert kx.is_zero() == (x == (0, 0))
+
+    @given(kvalues, nonzero_kvalues)
+    @settings(max_examples=300)
+    def test_division_and_inverse(self, x, y):
+        kx, ky = KElem(*x), KElem(*y)
+        assert_matches(ky.inverse(), model_inverse(y))
+        assert_matches(kx / ky, model_mul(x, model_inverse(y)))
+        with pytest.raises(ZeroDivisionError):
+            kx / KElem(0, 0)
+        with pytest.raises(ZeroDivisionError):
+            KElem(0, 0).inverse()
+
+    @given(nonzero_kvalues, st.integers(-5, 5))
+    @settings(max_examples=200)
+    def test_power(self, x, k):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(k)):
+            want = model_mul(want, x)
+        if k < 0:
+            want = model_inverse(want)
+        assert_matches(KElem(*x) ** k, want)
+
+    @given(kvalues, kvalues)
+    @settings(max_examples=300)
+    def test_equality_and_hash(self, x, y):
+        kx, ky = KElem(*x), KElem(*y)
+        assert (kx == ky) == (x == y)
+        assert (kx != ky) == (x != y)
+        # the same value reached another way has the same hash
+        again = (kx + ky) - ky
+        assert again == kx and hash(again) == hash(kx)
+        assert len({kx, again, KElem.of(*x)}) == 1
+
+    @given(kvalues)
+    @settings(max_examples=300)
+    def test_int_pair_and_str(self, x):
+        k = KElem(*x)
+        num, den = k.as_int_pair()
+        assert den > 0
+        assert math.gcd(num.re, num.im, den) == 1
+        assert (Fraction(num.re, den), Fraction(num.im, den)) == x
+        assert str(k) == model_str(x)
+
+    def test_immutable(self):
+        k = KElem(Fraction(3, 4), Fraction(-2, 5))
+        for name in ("a", "b", "d", "re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(k, name, 1)
+        with pytest.raises(AttributeError):
+            del k.a
+        assert (k.a, k.b, k.d) == (15, -8, 20)
+        assert copy.deepcopy(k) == k and pickle.loads(pickle.dumps(k)) == k
 
 
 class TestFractionalIdeal:

@@ -72,8 +72,58 @@ class TestCheck:
             ("class", {"delta": GLOBAL_SIX, "class": {"5": 1}}),
             ("group", {"kind": "crossed-product", "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]}, "group": {}}),
             ("entries", {"delta": {"ring": "Z", "prime": "2", "entries": [[0, 1], [0]]}}),
+            (
+                "group.gens",
+                {
+                    "kind": "crossed-product",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "copies": 2,
+                    "group": {"degree": 2, "gens": ["abc"]},
+                },
+            ),
+            (
+                "group.gens",
+                {
+                    "kind": "crossed-product",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "copies": 2,
+                    "group": {"degree": 2, "gens": ["(1 2)x"]},
+                },
+            ),
+            (
+                "components",
+                {
+                    "kind": "explicit",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "group": {"degree": 2, "gens": ["(1 2)"]},
+                    "components": {"abc": {"entries": [[0, 0], [1, 0]]}},
+                },
+            ),
+            (
+                "gamma",
+                {
+                    "kind": "explicit",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "group": {"degree": 2, "gens": ["(1 2)"]},
+                    "gamma": {"x|y": ["1"]},
+                },
+            ),
         ],
-        ids=["ring", "staircase-type", "staircase-empty", "n", "radpower", "components", "class", "group", "entries"],
+        ids=[
+            "ring",
+            "staircase-type",
+            "staircase-empty",
+            "n",
+            "radpower",
+            "components",
+            "class",
+            "group",
+            "entries",
+            "group.gens-text",
+            "group.gens-trailing",
+            "components-key",
+            "gamma-key",
+        ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
         code, _, err = run(capsys, "check", write(tmp_path, bad))

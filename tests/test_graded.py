@@ -195,6 +195,56 @@ class TestCrossedProducts:
         assert ok
 
 
+def cocycle_failures(group, tau):
+    """Every triple of grades at which tau breaks the cocycle identity, in
+    the order of the group's elements."""
+    els = group.elements
+    return [
+        (g, h, k)
+        for g in els
+        for h in els
+        for k in els
+        if tau[(g, h)] * tau[(pmul(g, h), k)] != tau[(h, k)] * tau[(g, pmul(h, k))]
+    ]
+
+
+class TestCocycleCheck:
+    def test_violation_at_a_late_triple(self):
+        # tau = -1 on the rows of a subgroup A of order 2 and 1 elsewhere
+        # holds at every triple (g, h, k) with g in A, and the first two
+        # grades are A, so the first failure lies past a third of the triples
+        s3 = symmetric_group(3)
+        els = s3.elements
+        rows = set(els[:2])
+        assert {pmul(a, b) for a in rows for b in rows} == rows
+        tau = {(g, h): -ONE if g in rows else ONE for g in els for h in els}
+        failures = cocycle_failures(s3, tau)
+        assert failures and failures[0][0] == els[2]
+        delta = hereditary_staircase((1, 1), ZZ, M2)
+        with pytest.raises(CocycleViolation) as info:
+            trivial_crossed(delta, s3, cocycle=tau)
+        assert info.value.triple == failures[0]
+
+    def test_none_equals_all_ones(self):
+        delta = hereditary_staircase((1, 1), ZZ, M3)
+        s3 = symmetric_group(3)
+        ones = {(g, h): ONE for g in s3.elements for h in s3.elements}
+        plain = trivial_crossed(delta, s3)
+        explicit = trivial_crossed(delta, s3, cocycle=ones)
+        assert plain.gamma == explicit.gamma
+        assert plain.components == explicit.components
+
+    def test_seeded_sign_coboundary_over_s4(self):
+        s4 = symmetric_group(4)
+        rng = random.Random(20001)
+        mu = {g: KElem.of(rng.choice((1, -1)), 0) for g in s4.elements}
+        tau = coboundary_cocycle(s4, mu)
+        assert cocycle_failures(s4, tau) == []
+        assert any(v != ONE for v in tau.values())
+        order = trivial_crossed(hereditary_staircase((1, 1), ZZ, M2), s4, cocycle=tau)
+        assert validate_strong_grading(order)[0]
+
+
 class TestInnerClassification:
     def test_rad_grading_is_outer(self):
         order = rad_grading((1, 1))
