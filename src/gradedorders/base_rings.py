@@ -24,6 +24,11 @@ RING_Z = "Z"
 RING_ZI = "Zi"
 
 
+# largest valuation magnitude accepted from input: exact scalars are
+# uniformizer powers, and their size grows with it
+MAX_EXPONENT = 10**6
+
+
 class RingError(ValueError):
     pass
 
@@ -541,11 +546,23 @@ def ideal_from_json(ring: BaseRing, obj) -> FractionalIdealR:
     if "gen" in obj:
         return FractionalIdealR.principal(ring, _parse_elem(ring, obj["gen"]))
     if "factors" in obj:
+        factors = obj["factors"]
+        if not isinstance(factors, list) or not all(
+            isinstance(f, list) and len(f) == 2 and type(f[1]) is int for f in factors
+        ):
+            raise RingError("ideal factors must be a list of [generator, integer exponent] pairs")
         out = FractionalIdealR.one(ring)
-        for gen, e in obj["factors"]:
-            out = out * (FractionalIdealR.principal(ring, _parse_elem(ring, gen)) ** int(e))
+        for gen, e in factors:
+            check_exponent(e)
+            out = out * (FractionalIdealR.principal(ring, _parse_elem(ring, gen)) ** e)
         return out
     raise RingError("ideal object needs 'gen' or 'factors'")
+
+
+def check_exponent(e: int) -> None:
+    """Valuations read from input are bounded by MAX_EXPONENT."""
+    if abs(e) > MAX_EXPONENT:
+        raise RingError(f"exponent {e} exceeds cap {MAX_EXPONENT}")
 
 
 def ideal_to_json(ideal: FractionalIdealR) -> dict:

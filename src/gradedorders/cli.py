@@ -24,6 +24,7 @@ from .base_rings import (
     KElem,
     MaximalIdeal,
     RingError,
+    check_exponent,
     ideal_from_json,
     maximal_ideals_above,
     parse_gaussian,
@@ -45,6 +46,7 @@ from .graded import (
     LocalComponent,
 )
 from .groups import (
+    MAX_DEGREE,
     FiniteGroup,
     GroupError,
     Subgroup,
@@ -64,6 +66,7 @@ from .pic import (
 )
 from .semiprime import main_hereditary_verdict, orbit_decompose
 from .tiled import (
+    MAX_DIMENSION,
     ExponentMatrix,
     FractionalIdealMatrix,
     GlobalTiledOrder,
@@ -124,6 +127,14 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+def _exponent(value, field: str) -> int:
+    try:
+        check_exponent(_as_int(value, field))
+    except RingError as e:
+        raise InputError(f"{field}: {e}") from None
+    return value
+
+
 def _perm(text, degree: int, field: str):
     try:
         return perm_from_cycles(text, degree)
@@ -131,12 +142,20 @@ def _perm(text, degree: int, field: str):
         raise InputError(f"{field}: {e}") from None
 
 
-def _matrix(value, field: str, cell=lambda x: True) -> list[list]:
-    if not isinstance(value, list) or not all(
-        isinstance(r, list) and all(cell(x) for x in r) for r in value
-    ):
+def _matrix(value, field: str, exponents: bool = False) -> list[list]:
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise InputError(f"{field}: expected a matrix (list of lists)")
+    _check_dimension(len(value), field)
+    if exponents:
+        for row in value:
+            for x in row:
+                _exponent(x, field)
     return value
+
+
+def _check_dimension(n: int, field: str) -> None:
+    if n > MAX_DIMENSION:
+        raise InputError(f"{field}: dimension {n} exceeds cap {MAX_DIMENSION}")
 
 
 def parse_tiled_local(obj) -> ExponentMatrix:
@@ -150,14 +169,17 @@ def parse_tiled_local(obj) -> ExponentMatrix:
             _is_int(b) and b > 0 for b in blocks
         ):
             raise InputError("staircase: expected a non-empty list of positive block sizes")
+        _check_dimension(sum(blocks), "staircase")
         return hereditary_staircase(tuple(blocks), ring, place)
     try:
-        return validate_order(_matrix(obj.get("entries"), "entries", _is_int), ring, place)
+        return validate_order(_matrix(obj.get("entries"), "entries", exponents=True), ring, place)
     except OrderError as e:
         raise InputError(f"entries: {e}") from None
 
 
 def parse_tiled_global(obj) -> GlobalTiledOrder:
+    if not isinstance(obj, dict):
+        raise InputError("input: expected a JSON object")
     ring = _parse_ring(obj)
     entries = _matrix(obj.get("entries"), "entries")
     try:
@@ -169,7 +191,7 @@ def parse_tiled_global(obj) -> GlobalTiledOrder:
 
 def _radical_power(delta: ExponentMatrix, spec) -> FractionalIdealMatrix:
     """The grading bimodule of a local pic-construction."""
-    k = _as_int(spec.get("radpower", 1), "radpower")
+    k = _exponent(spec.get("radpower", 1), "radpower")
     if k < 0:
         raise InputError(f"radpower: expected a non-negative power, got {k}")
     return ideal_power(radical(delta), k)
@@ -182,7 +204,7 @@ def _class_representative(delta: GlobalTiledOrder, spec):
     if not isinstance(table, dict):
         raise InputError("class: pic-construction over a global base needs a class table")
     classes = {
-        _parse_place(delta.ring, text): _as_int(k, "class") for text, k in table.items()
+        _parse_place(delta.ring, text): _exponent(k, "class") for text, k in table.items()
     }
     try:
         return construct_class_representative(delta, PicClass.of(classes))
@@ -209,7 +231,7 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
             raise InputError(f"components: {key}: expected a list of matrices")
         comps[g] = LocalComponent(
             tuple(cobj.get("perm", [0])),
-            tuple(tuple(map(tuple, _matrix(mat, "components", _is_int))) for mat in mats),
+            tuple(tuple(map(tuple, _matrix(mat, "components", exponents=True))) for mat in mats),
         )
     gamma = {}
     table = obj.get("gamma", {})
@@ -254,7 +276,10 @@ def parse_graded(obj) -> GradedOrder:
         if kind == "pic-construction":
             x = _radical_power(delta, obj) if local else _class_representative(delta, obj)
             n = obj.get("n")
-            return construct_from_pic(delta, x, None if n is None else _as_int(n, "n"))
+            if n is not None and _as_int(n, "n") > MAX_DEGREE:
+                # the cyclic group of order n permutes n points
+                raise InputError(f"n: order {n} exceeds cap {MAX_DEGREE}")
+            return construct_from_pic(delta, x, n)
         if kind == "crossed-product":
             if not local:
                 raise InputError("kind: crossed products are supported over local bases")
@@ -326,6 +351,8 @@ def _load(path: str):
         raise InputError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}") from None
+    except ValueError as e:  # an integer literal past the digit limit
+        raise InputError(f"{path}: invalid JSON: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +527,8 @@ def cmd_example(args) -> int:
     name = args.name
     if name not in ("nonbasic", "outer", "semiprime"):
         raise InputError(f"unknown example {name!r}")
+    if not 1 <= args.d <= MAX_DEGREE:
+        raise InputError(f"d: expected a degree from 1 to {MAX_DEGREE}, got {args.d}")
     raw = load_fixture(name)
     if name == "outer":
         gen = _assertions_outer(raw)

@@ -15,6 +15,9 @@ from functools import cached_property
 from typing import Callable
 
 MAX_GROUP_ORDER = 10_080
+# largest permutation degree accepted from input: a group holds up to
+# MAX_GROUP_ORDER permutations of this length
+MAX_DEGREE = 64
 
 
 class GroupError(ValueError):
@@ -342,6 +345,8 @@ def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict) or not isinstance(obj.get("degree"), int):
         raise GroupError("group: expected an object with an integer degree")
     degree = obj["degree"]
+    if not 1 <= degree <= MAX_DEGREE:
+        raise GroupError(f"group.degree: expected a degree from 1 to {MAX_DEGREE}, got {degree}")
     gens = obj.get("gens", [])
     if not isinstance(gens, list):
         raise GroupError("group.gens: expected a list of cycle strings")

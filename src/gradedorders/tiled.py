@@ -24,6 +24,11 @@ from .base_rings import (
 )
 
 
+# largest matrix dimension accepted from input; the closure check alone
+# is cubic in it
+MAX_DIMENSION = 64
+
+
 class OrderError(ValueError):
     pass
 
@@ -151,8 +156,13 @@ def ideal_power(x: FractionalIdealMatrix, k: int) -> FractionalIdealMatrix:
     if k < 0:
         raise OrderError("negative ideal power")
     out = order_ideal(x.order)
-    for _ in range(k):
-        out = ideal_multiply(out, x)
+    # repeated squaring: min-plus products are associative
+    while k:
+        if k & 1:
+            out = ideal_multiply(out, x)
+        k >>= 1
+        if k:
+            x = ideal_multiply(x, x)
     return out
 
 

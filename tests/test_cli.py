@@ -1,6 +1,11 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from gradedorders.cli import load_fixture, main
 
@@ -108,6 +113,15 @@ class TestCheck:
                     "gamma": {"x|y": ["1"]},
                 },
             ),
+            ("staircase", {"delta": {"ring": "Z", "prime": "2", "staircase": [1000000, 1]}}),
+            (
+                "group.degree",
+                {
+                    "kind": "explicit",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "group": {"degree": 100000, "gens": ["(1 2)", "(1 2 3 4 5 6 7)"]},
+                },
+            ),
         ],
         ids=[
             "ring",
@@ -123,6 +137,8 @@ class TestCheck:
             "group.gens-trailing",
             "components-key",
             "gamma-key",
+            "staircase-oversize",
+            "group.degree-oversize",
         ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
@@ -229,3 +245,68 @@ class TestExamples:
         assert code == 0
         rep = json.loads(out)
         assert rep["report"]["outer"] is True
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the input boundary: mutated fixtures must exit 0, 1 or 2
+
+
+OVERSIZE = (10**6 + 1, 2**31 - 1, 2**63, 10**30, -(10**9))
+
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 8),
+    st.sampled_from(OVERSIZE),
+    st.text(max_size=6),
+    st.sampled_from(["(1 2)", "(1 2 3)", "1+2i", "2+1i", "3", "()", "(1 2)|(1 2)"]),
+)
+_value = st.recursive(
+    _leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_fixture(draw):
+    obj = copy.deepcopy(load_fixture(draw(st.sampled_from(["nonbasic", "outer", "semiprime"]))))
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(obj, (dict, list)) or not obj:
+            break
+        # the deepest paths first, so that shrinking keeps a mutated leaf
+        path = draw(st.sampled_from(sorted(_paths(obj), key=len, reverse=True)[:-1]))
+        action = draw(st.sampled_from(["oversize", "replace", "delete"]))
+        new = draw(st.sampled_from(OVERSIZE)) if action == "oversize" else draw(_value)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    return obj
+
+
+@given(
+    raw=_mutated_fixture(),
+    command=st.sampled_from(["check", "classify", "oracle-check", "picent"]),
+    as_json=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_mutated_fixtures_exit_cleanly(tmp_path_factory, raw, command, as_json):
+    path = tmp_path_factory.mktemp("fuzz") / "in.json"
+    path.write_text(json.dumps(raw))
+    argv = [command, str(path)] + (["--json"] if as_json else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

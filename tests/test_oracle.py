@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from gradedorders import oracle
 from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, maximal_ideals_above
@@ -8,7 +11,6 @@ from gradedorders.graded import LocalBase, graded_order, identity_component
 from gradedorders.groups import cyclic_group
 from gradedorders.oracle import (
     RANK_CAP,
-    OracleError,
     RankCapExceeded,
     flatten,
     hereditary_oracle,
@@ -52,10 +54,12 @@ class TestFlatten:
             flat_tiled(big)
 
     def test_quadratic_residue_field_cap(self):
+        # rank 36, 72 over F_3: inert places run up to rank RANK_CAP // 2
         (m3,) = maximal_ideals_above(ZI, 3)
         big = hereditary_staircase((3, 3), ZI, m3)
-        with pytest.raises(OracleError):
-            flat_tiled(big)
+        a = flat_tiled(big)
+        assert (a.rank, a.dim) == (36, 72)
+        assert hereditary_oracle(a) == is_hereditary_local(big)
 
 
 class TestRadical:
@@ -70,7 +74,6 @@ class TestRadical:
         assert len(radical_mod_m(a)) == 4
 
     def test_numpy_path_dimension(self):
-        # rank 36 exceeds the pure-python threshold
         a = flat_tiled(hereditary_staircase((3, 3), ZZ, M2))
         assert len(radical_mod_m(a)) == 18
 
@@ -87,14 +90,47 @@ class TestRadical:
     def test_quadratic_residue_field(self):
         (m3,) = maximal_ideals_above(ZI, 3)
         a = flat_tiled(hereditary_staircase((1, 1), ZI, m3))
-        assert a.field.size == 9
-        assert len(radical_mod_m(a)) == 2
+        assert a.place.residue_size == 9
+        # over F_3 the radical has twice its GF(9)-dimension 2
+        assert len(radical_mod_m(a)) == 4
 
     def test_ramified_place(self):
         (m2,) = maximal_ideals_above(ZI, 2)
         a = flat_tiled(hereditary_staircase((1, 1), ZI, m2))
         assert len(radical_mod_m(a)) == 2
         assert hereditary_oracle(a)
+
+    def test_radical_matches_closed_form(self):
+        # rad(Delta)/m*Delta is spanned by the basis units pi^lam_ij e_ij
+        # at the positions where the radical's exponent equals lam_ij
+        # (each unit and i times it, over F_p, at an inert place)
+        (m3i,) = maximal_ideals_above(ZI, 3)
+        (m2i,) = maximal_ideals_above(ZI, 2)
+        places = [(ZZ, M2), (ZZ, M3), (ZI, m3i), (ZI, m2i)]
+        checked = 0
+        for n in (1, 2, 3):
+            for vals in itertools.product(range(3), repeat=n * (n - 1)):
+                it = iter(vals)
+                mat = [[0 if i == j else next(it) for j in range(n)] for i in range(n)]
+                if any(mat[i][k] + mat[k][j] < mat[i][j] for i in range(n) for j in range(n) for k in range(n)):
+                    continue
+                for ring, m in places:
+                    exp = validate_order(mat, ring, m)
+                    rad = radical(exp).entries
+                    a = flat_tiled(exp)
+                    deg = a.degree
+                    units = [
+                        deg * k + c
+                        for k, (_, _, i, j) in enumerate(a.labels)
+                        if rad[i][j] == mat[i][j]
+                        for c in range(deg)
+                    ]
+                    expected = tuple(
+                        tuple(int(c == u) for c in range(a.dim)) for u in sorted(units)
+                    )
+                    assert radical_mod_m(a) == expected, (mat, str(m))
+                    checked += 1
+        assert checked == 4 * 291
 
 
 class TestHereditaryOracle:
@@ -130,28 +166,6 @@ class TestHereditaryOracle:
             exp = validate_order(mat, ZZ, M2)
             assert hereditary_oracle(flat_tiled(exp)) == is_hereditary_local(exp)
 
-    def test_numpy_vs_python_consistency(self):
-        # the same 3x3 pattern at p = 2 (python path, rank 9) and embedded
-        # in a rank-36 order (numpy path) gives consistent verdicts
-        small = hereditary_staircase((2, 1), ZZ, M2)
-        big = hereditary_staircase((3, 3), ZZ, M2)
-        assert hereditary_oracle(flat_tiled(small))
-        assert hereditary_oracle(flat_tiled(big))
-        bad_big = validate_order(
-            [
-                [0, 0, 0, 0, 0, 0],
-                [2, 0, 0, 0, 0, 0],
-                [2, 2, 0, 0, 0, 0],
-                [2, 2, 2, 0, 0, 0],
-                [2, 2, 2, 2, 0, 0],
-                [2, 2, 2, 2, 2, 0],
-            ],
-            ZZ,
-            M2,
-        )
-        assert not is_hereditary_local(bad_big)
-        assert not hereditary_oracle(flat_tiled(bad_big))
-
 
 class TestReport:
     def test_agreement_on_graded_order(self):
@@ -167,22 +181,39 @@ class TestReport:
         assert set(r) == {"place", "rank", "oracle", "engine", "agree"}
 
 
+LARGE_PRIMES = (100000007, 2**31 - 1, 4294967311)
+
+
 class TestNumpyExactness:
-    def test_large_prime_stays_on_exact_path(self, monkeypatch):
-        # float64 matmuls are exact only while rank * (p-1)**2 < 2**53; a
-        # rank-64 order at p = 2**31 - 1 must never enter the NumPy kernels
-        (mp,) = maximal_ideals_above(ZZ, 2**31 - 1)
-        delta = hereditary_staircase((1, 1, 1, 1), ZZ, mp)
-        order = construct_from_pic(delta, radical(delta))
+    @pytest.mark.parametrize("p", LARGE_PRIMES)
+    def test_kernels_match_sympy_at_large_primes(self, p):
+        # float64 products of residues this large are not exact, and int64
+        # products overflow; rank and nullspace must still be exact
+        rng = random.Random(p)
+        field = GF(p)
+        for rows, cols, r in [(60, 14, 10)] * 5 + [(20, 20, 12)] * 5:
+            left = [[rng.randrange(p) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)] for _ in range(r)]
+            mat = [
+                [sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)]
+                for row in left
+            ]
+            dm = DomainMatrix([[field(x) for x in row] for row in mat], (rows, cols), field)
+            assert oracle._rank(mat, p) == dm.rank() == r
+            ours = [[field(int(x)) for x in row] for row in oracle._nullspace(mat, p)]
+            both = ours + dm.nullspace().to_list()
+            assert len(ours) == cols - r
+            assert DomainMatrix(both, (len(both), cols), field).rank() == cols - r
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("NumPy kernel entered beyond its exact range")
-
-        for name in ("_NpFlat", "_np_row_basis", "_np_rref", "_np_invertibility"):
-            monkeypatch.setattr(oracle, name, refuse)
-        r = oracle_report(order, mp)
-        assert r["rank"] == 64
-        assert r["oracle"] and r["engine"] and r["agree"]
+    def test_large_prime_stays_on_exact_path(self):
+        # rank 64 (128 over F_p at the inert place 2**31 - 1 of Z[i])
+        for ring, p in [(ZZ, p) for p in LARGE_PRIMES] + [(ZI, 2**31 - 1)]:
+            (mp,) = maximal_ideals_above(ring, p)
+            delta = hereditary_staircase((1, 1, 1, 1), ring, mp)
+            order = construct_from_pic(delta, radical(delta))
+            r = oracle_report(order, mp)
+            assert r["rank"] == 64
+            assert r["oracle"] and r["engine"] and r["agree"], (ring, p)
 
 
 @pytest.mark.xfail(

@@ -146,6 +146,17 @@ class TestHereditary:
         shifted = constant_shift_of(p3.entries, e.entries)
         assert shifted == 1  # rad^3 = m * Delta
 
+    def test_ideal_power_matches_repeated_products(self):
+        for e in (staircase(2, 1), validate_order([[0, 0, 0], [2, 0, 0], [2, 1, 0]], ZZ, M2)):
+            r = radical(e)
+            product = order_ideal(e)
+            for k in range(12):
+                assert ideal_power(r, k) == product
+                product = ideal_multiply(product, r)
+        # rad^3 = m * Delta, so rad^(3k+1) is rad shifted by k
+        r = radical(staircase(1, 1, 1))
+        assert constant_shift_of(ideal_power(r, 3 * 10**6 + 1).entries, r.entries) == 10**6
+
 
 class TestProjectives:
     def test_profile_of_staircase(self):
