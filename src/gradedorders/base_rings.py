@@ -27,6 +27,10 @@ RING_ZI = "Zi"
 # largest valuation magnitude accepted from input: exact scalars are
 # uniformizer powers, and their size grows with it
 MAX_EXPONENT = 10**6
+# largest norm factored: SymPy's factorint needs up to about half a second
+# below it, seconds at 40 digits and longer past them, so ideal generators
+# and primes read from input are bounded by their norm
+MAX_NORM = 2**64
 
 
 class RingError(ValueError):
@@ -74,9 +78,6 @@ class GaussianInt:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def __divmod__(self, other: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
         """Euclidean division with remainder of norm < norm(other)."""
         if other.is_zero():
@@ -85,10 +86,6 @@ class GaussianInt:
         num = self * other.conj()
         q = GaussianInt(_round_div(num.re, d), _round_div(num.im, d))
         return q, self - q * other
-
-    def divides(self, other: GaussianInt) -> bool:
-        _, r = divmod(other, self)
-        return r.is_zero()
 
     def exact_div(self, other: GaussianInt) -> GaussianInt:
         q, r = divmod(self, other)
@@ -359,10 +356,16 @@ ZZ = BaseRing(RING_Z)
 ZI = BaseRing(RING_ZI)
 
 
+def _factor(norm: int) -> dict[int, int]:
+    if norm > MAX_NORM:
+        raise RingError(f"norm {norm} exceeds cap 2**64")
+    return factorint(norm)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    f = factorint(p)
+    f = _factor(p)
     return len(f) == 1 and list(f.values()) == [1]
 
 
@@ -470,7 +473,9 @@ class FractionalIdealR:
         if ring.kind == RING_Z and z.im != 0:
             raise NotInRing("Gaussian generator over Z")
         fac: dict[MaximalIdeal, int] = {}
-        for p, _ in factorint(z.norm()).items():
+        # the norm over the ring: |z| over Z, z * conj(z) over Z[i]
+        norm = abs(z.re) if ring.kind == RING_Z else z.norm()
+        for p in _factor(norm):
             for m in maximal_ideals_above(ring, int(p)):
                 e = element_valuation(ring.kind, z, m)
                 if e:

@@ -34,7 +34,6 @@ from .base_rings import (
 from .groups import (
     FiniteGroup,
     Perm,
-    Subgroup,
     cyclic_group,
     identity_perm,
     pmul,
@@ -182,16 +181,14 @@ def graded_order(
     base: LocalBase,
     components: dict[Perm, LocalComponent],
     gamma: dict | None = None,
-    validate: bool = True,
 ) -> GradedOrder:
     order = GradedOrder(group, base, dict(components), dict(gamma or {}))
     e = group.identity
     if e not in order.components:
         order.components[e] = identity_component(base)
-    if validate:
-        ok, witness = validate_strong_grading(order)
-        if not ok:
-            raise StrongGradingFailure(*witness)
+    ok, witness = validate_strong_grading(order)
+    if not ok:
+        raise StrongGradingFailure(*witness)
     return order
 
 
@@ -251,12 +248,15 @@ def validate_strong_grading(order: GradedOrder):
 # ---------------------------------------------------------------------------
 # Construction from a Picard element (cyclic grading group)
 
+# the powers of the bimodule searched for a scalar wrap when no order is
+# requested
+PIC_SEARCH_BOUND = 64
+
 
 def construct_from_pic(
     delta: ExponentMatrix | GlobalTiledOrder,
     x: FractionalIdealMatrix | Mapping[MaximalIdeal, FractionalIdealMatrix],
     n: int | None = None,
-    search_bound: int = 64,
 ) -> GradedOrder:
     """The cyclic graded order with components the powers of x; the wrap
     x**k = c * delta is fixed once, with c the canonical generator.
@@ -284,7 +284,7 @@ def construct_from_pic(
 
     wrap: KElem | None = None
     k = 0
-    limit = max(n or 0, search_bound)
+    limit = max(n or 0, PIC_SEARCH_BOUND)
     while wrap is None and k < limit:
         k += 1
         wrap = next_power()
@@ -446,13 +446,12 @@ def construct_crossed_product(
                 )
             tau = datum.tau(g, h)
             gamma[(g, h)] = tuple(tau / b for b in beta)
-    order = graded_order(group, base, comps, gamma, validate=False)
-    ok, witness = validate_strong_grading(order)
-    if not ok:
+    try:
+        return graded_order(group, base, comps, gamma)
+    except StrongGradingFailure as e:
         raise ActionDoesNotNormalize(
-            f"action does not normalize the order: failure at {witness[:2]}"
-        )
-    return order
+            f"action does not normalize the order: failure at {e.pair}"
+        ) from None
 
 
 def _check_cocycle(group: FiniteGroup, datum: CrossedProductDatum) -> None:
@@ -570,17 +569,13 @@ def is_crossed_product(order: GradedOrder) -> tuple[bool, dict[Perm, bool]]:
 
 @dataclass(frozen=True)
 class InnerClassification:
-    subgroup: Subgroup
+    subgroup: FiniteGroup
     inner_elements: tuple[Perm, ...]
     context: str
 
     @property
     def is_outer(self) -> bool:
         return len(self.inner_elements) == 1
-
-    @property
-    def is_inner(self) -> bool:
-        return len(self.inner_elements) == len(self.subgroup.elements)
 
 
 def _component_trivial_local(
@@ -594,29 +589,20 @@ def _component_trivial_local(
     return True
 
 
-def component_is_inner(
-    order: GradedOrder, g: Perm, place: MaximalIdeal | None = None
-) -> bool:
+def component_is_inner(order: GradedOrder, g: Perm) -> bool:
     """Whether the component of g is isomorphic to the identity component
-    as a bimodule, at one place or (place=None) at every local order
-    holding the data.  Over the PID bases a consistent family of local
-    shifts always lifts to one global scalar."""
-    local_orders = order.local_orders() if place is None else [order.localize(place)]
+    as a bimodule at every local order holding the data (one place: pass
+    ``order.localize(m)``).  Over the PID bases a consistent family of
+    local shifts always lifts to one global scalar."""
     return all(
         _component_trivial_local(local.base, local.components[g])
-        for local in local_orders
+        for local in order.local_orders()
     )
 
 
-def inner_classification(
-    order: GradedOrder,
-    subgroup: Subgroup,
-    place: MaximalIdeal | None = None,
-) -> InnerClassification:
-    inner = tuple(
-        h for h in subgroup.elements if component_is_inner(order, h, place)
-    )
-    ctx = "global" if (place is None and not order.is_local) else f"at {place or order.base.place}"
+def inner_classification(order: GradedOrder, subgroup: FiniteGroup) -> InnerClassification:
+    inner = tuple(h for h in subgroup.elements if component_is_inner(order, h))
+    ctx = f"at {order.base.place}" if order.is_local else "global"
     if {pmul(a, b) for a in inner for b in inner} != set(inner):
         raise GradedError("inner elements do not form a subgroup")
     return InnerClassification(subgroup, inner, ctx)
@@ -652,7 +638,7 @@ def corner_graded_order(order: GradedOrder, indices: tuple[int, ...]) -> GradedO
 
 
 def block_corner_graded_order(
-    order: GradedOrder, block: int, subgroup: Subgroup
+    order: GradedOrder, block: int, subgroup: FiniteGroup
 ) -> GradedOrder:
     """Corner by the central idempotent of one prime summand, graded by the
     stabilizer of that summand."""
@@ -666,18 +652,17 @@ def block_corner_graded_order(
             raise InvalidIdempotent(
                 "subgroup does not stabilize the chosen block"
             )
-    new_group = FiniteGroup(order.group.degree, subgroup.generators)
     base = LocalBase((order.base.blocks[block],))
     comps = {}
-    for h in new_group.elements:
+    for h in subgroup.elements:
         comps[h] = LocalComponent((0,), (order.components[h].mats[block],))
     gamma = {}
-    for h1 in new_group.elements:
-        for h2 in new_group.elements:
+    for h1 in subgroup.elements:
+        for h2 in subgroup.elements:
             scal = order.gamma_at(h1, h2)[block]
             if scal != KONE:
                 gamma[(h1, h2)] = (scal,)
-    return graded_order(new_group, base, comps, gamma)
+    return graded_order(subgroup, base, comps, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +674,7 @@ class VerdictEntry:
     orbit: int
     prime: int
     place: MaximalIdeal | None
-    sylow: Subgroup
+    sylow: FiniteGroup
     inner_witness: Perm | None
 
 
@@ -725,7 +710,7 @@ def _group_prime_divisors(n: int) -> list[int]:
 
 def prime_hereditary_verdict(
     order: GradedOrder,
-    sylow_choice: Mapping[int, Subgroup] | None = None,
+    sylow_choice: Mapping[int, FiniteGroup] | None = None,
     orbit_index: int = 0,
 ) -> HereditaryVerdict:
     """Hereditary iff the identity component is hereditary and, at every
@@ -737,19 +722,13 @@ def prime_hereditary_verdict(
     breakdown = []
     all_outer = True
     for p in _group_prime_divisors(order.group.order):
-        syl = None
-        if sylow_choice and p in sylow_choice:
-            chosen = sylow_choice[p]
-            # a choice made for a larger group (e.g. before passing to an
-            # orbit corner) only applies when it lives inside this group
-            if chosen.element_set <= order.group.element_set:
-                syl = Subgroup(order.group, chosen.generators)
-        if syl is None:
+        syl = sylow_choice.get(p) if sylow_choice else None
+        # a choice made for a larger group (e.g. before passing to an
+        # orbit corner) only applies when it lives inside this group
+        if syl is None or not syl.element_set <= order.group.element_set:
             syl = sylow_subgroup(order.group, p)
         for m in _places_containing(order, p):
-            cls = inner_classification(
-                order, Subgroup(order.group, syl.generators), m
-            )
+            cls = inner_classification(order.localize(m), syl)
             witness = next(
                 (h for h in cls.inner_elements if h != order.group.identity), None
             )

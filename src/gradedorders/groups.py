@@ -1,5 +1,6 @@
 """Finite permutation groups: closure, subgroups, Sylow subgroups,
-conjugation and actions on finite sets.
+conjugation and actions on finite sets.  A subgroup is itself a
+``FiniteGroup`` of the same degree, named by its generators.
 
 Permutations are tuples of images on {0..degree-1}; the product p * q
 means "apply p, then q", so points are acted on from the right and
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 MAX_GROUP_ORDER = 10_080
 # largest permutation degree accepted from input: a group holds up to
@@ -144,45 +145,13 @@ class FiniteGroup:
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set
 
-    def subgroup(self, gens: list[Perm]) -> Subgroup:
+    def subgroup(self, gens: Iterable[Perm]) -> FiniteGroup:
+        """The subgroup generated by gens, which must lie in this group."""
+        gens = tuple(gens)
         for g in gens:
             if g not in self.element_set:
                 raise GroupError(f"generator {g} not in parent group")
-        return Subgroup(self, tuple(gens))
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    generators: tuple[Perm, ...]
-
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        return _close(self.parent.degree, self.generators)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def as_group(self) -> FiniteGroup:
-        return FiniteGroup(self.parent.degree, self.generators)
-
-    @cached_property
-    def element_set(self) -> frozenset[Perm]:
-        return frozenset(self.elements)
-
-    def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent.degree == other.parent.degree
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.parent.degree, self.elements))
+        return FiniteGroup(self.degree, gens)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -200,15 +169,13 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(n, (tuple(list(range(1, n)) + [0]),))
 
 
-def conjugate_subgroup(h: Subgroup, g: Perm) -> Subgroup:
-    """g^-1 H g inside the same parent."""
-    if g not in h.parent:
-        raise GroupError("conjugating element not in parent group")
+def conjugate_subgroup(h: FiniteGroup, g: Perm) -> FiniteGroup:
+    """g^-1 H g."""
     gi = pinv(g)
-    return Subgroup(h.parent, tuple(pmul(pmul(gi, x), g) for x in h.generators))
+    return FiniteGroup(h.degree, tuple(pmul(pmul(gi, x), g) for x in h.generators))
 
 
-def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
+def normalizer(group: FiniteGroup, sub: FiniteGroup) -> FiniteGroup:
     hset = sub.element_set
     gens = []
     for g in group.elements:
@@ -216,7 +183,7 @@ def normalizer(group: FiniteGroup, sub: Subgroup) -> Subgroup:
         if all(pmul(pmul(gi, h), g) in hset for h in sub.generators):
             if set(pmul(pmul(gi, h), g) for h in sub.elements) == hset:
                 gens.append(g)
-    return Subgroup(group, tuple(gens))
+    return FiniteGroup(group.degree, tuple(gens))
 
 
 def _p_part(n: int, p: int) -> int:
@@ -226,23 +193,17 @@ def _p_part(n: int, p: int) -> int:
     return k
 
 
-def sylow_subgroup(group: FiniteGroup | Subgroup, p: int) -> Subgroup:
+def sylow_subgroup(group: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, deterministically the one with lexicographically
     least sorted element list among all conjugates."""
     from sympy import isprime
 
     if not isprime(p):
         raise GroupError(f"{p} is not prime")
-    if isinstance(group, Subgroup):
-        parent = group.parent
-        g = group.as_group()
-    else:
-        parent = group
-        g = group
-    target = _p_part(g.order, p)
-    sub = Subgroup(g, ())
+    target = _p_part(group.order, p)
+    sub = FiniteGroup(group.degree, ())
     while sub.order < target:
-        nor = normalizer(g, sub)
+        nor = normalizer(group, sub)
         candidates = [
             x
             for x in nor.elements
@@ -251,29 +212,24 @@ def sylow_subgroup(group: FiniteGroup | Subgroup, p: int) -> Subgroup:
         # x normalizes sub and has p-power order, so <sub, x> is a p-group
         grown = None
         for x in sorted(candidates):
-            cand = Subgroup(g, sub.generators + (x,))
+            cand = FiniteGroup(group.degree, sub.generators + (x,))
             if cand.order % p == 0 and _p_part(cand.order, p) == cand.order:
                 grown = cand
                 break
         if grown is None:
             raise GroupError("sylow ascent stalled (internal error)")
         sub = grown
-    best = min(
-        (tuple(sorted(conjugate_subgroup(Subgroup(g, sub.generators), x).elements))
-         for x in g.elements),
-    )
-    return Subgroup(parent, best)
+    best = min(conjugate_subgroup(sub, x).elements for x in group.elements)
+    return FiniteGroup(group.degree, best)
 
 
-def all_sylow_subgroups(group: FiniteGroup | Subgroup, p: int) -> list[Subgroup]:
+def all_sylow_subgroups(group: FiniteGroup, p: int) -> list[FiniteGroup]:
     """Every Sylow p-subgroup (as conjugates of one of them)."""
     base = sylow_subgroup(group, p)
-    g = group.as_group() if isinstance(group, Subgroup) else group
-    parent = group.parent if isinstance(group, Subgroup) else group
     seen = {}
-    for x in g.elements:
-        c = conjugate_subgroup(Subgroup(g, base.generators), x)
-        seen[c.elements] = Subgroup(parent, c.elements)
+    for x in group.elements:
+        c = conjugate_subgroup(base, x)
+        seen.setdefault(c.elements, c)
     return sorted(seen.values(), key=lambda s: s.elements)
 
 
@@ -311,7 +267,7 @@ class GroupAction:
 class OrbitData:
     orbit: tuple[int, ...]
     representative: int
-    stabilizer: Subgroup
+    stabilizer: FiniteGroup
 
 
 def orbits_and_stabilizers(action: GroupAction) -> list[OrbitData]:
@@ -322,8 +278,8 @@ def orbits_and_stabilizers(action: GroupAction) -> list[OrbitData]:
     while remaining:
         rep = min(remaining)
         orbit = sorted({action.mapping(x, rep) for x in g.elements})
-        stab = Subgroup(
-            g, tuple(x for x in g.elements if action.mapping(x, rep) == rep)
+        stab = FiniteGroup(
+            g.degree, tuple(x for x in g.elements if action.mapping(x, rep) == rep)
         )
         if len(orbit) * stab.order != g.order:
             raise ActionError("orbit size times stabilizer order is not the group order")

@@ -11,6 +11,7 @@ exactly when every such corner is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .graded import (
     GradedOrder,
@@ -19,7 +20,7 @@ from .graded import (
     prime_hereditary_verdict,
     _delta_hereditary,
 )
-from .groups import GroupAction, OrbitData, orbits_and_stabilizers
+from .groups import FiniteGroup, GroupAction, OrbitData, orbits_and_stabilizers
 
 
 def idempotent_action(order: GradedOrder) -> GroupAction:
@@ -48,7 +49,7 @@ def orbit_decompose(order: GradedOrder) -> list[OrbitCorner]:
 
 def main_hereditary_verdict(
     order: GradedOrder,
-    sylow_choice=None,
+    sylow_choice: Mapping[int, FiniteGroup] | None = None,
 ) -> HereditaryVerdict:
     """Hereditary iff every orbit corner passes the prime-case test."""
     if order.is_prime:

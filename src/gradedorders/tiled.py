@@ -234,10 +234,6 @@ class ProjectiveProfile:
     block_sizes: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]  # aligned with block_sizes
 
-    @property
-    def t(self) -> int:
-        return len(self.block_sizes)
-
 
 def column_class(
     order: ExponentMatrix, column: tuple[int, ...]

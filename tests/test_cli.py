@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from gradedorders import base_rings
 from gradedorders.cli import load_fixture, main
 
 
@@ -27,6 +28,9 @@ MAXIMAL_TRIVIAL = {
     "delta": {"ring": "Z", "prime": "2", "entries": [[0, 0], [0, 0]]},
     "radpower": 0,
 }
+
+# nextprime(10**30): past base_rings.MAX_NORM, so it is never factored
+BIG_PRIME = 10**30 + 57
 
 GLOBAL_SIX = {
     "ring": "Z",
@@ -122,6 +126,17 @@ class TestCheck:
                     "group": {"degree": 100000, "gens": ["(1 2)", "(1 2 3 4 5 6 7)"]},
                 },
             ),
+            ("prime", {"delta": {"ring": "Z", "prime": str(BIG_PRIME), "staircase": [1, 1]}}),
+            (
+                "entries",
+                {
+                    "delta": {
+                        "ring": "Z",
+                        "entries": [[{"factors": []}, {"factors": []}], [{"gen": BIG_PRIME}, {"factors": []}]],
+                    },
+                    "class": {"2": 1},
+                },
+            ),
         ],
         ids=[
             "ring",
@@ -139,6 +154,8 @@ class TestCheck:
             "gamma-key",
             "staircase-oversize",
             "group.degree-oversize",
+            "prime-oversize",
+            "entries-oversize",
         ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
@@ -157,6 +174,23 @@ class TestCheck:
 
 
 class TestPicent:
+    def test_oversized_generator_is_not_factored(self, tmp_path, capsys, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"factorint({n}) called")
+
+        monkeypatch.setattr(base_rings, "factorint", refuse)
+        spec = {
+            "ring": "Z",
+            "n": 2,
+            "entries": [
+                [{"factors": []}, {"factors": []}],
+                [{"gen": 1000000000000000005490000000000000001989}, {"factors": []}],
+            ],
+        }
+        code, _, err = run(capsys, "picent", write(tmp_path, spec))
+        assert code == 2
+        assert err.startswith("error: entries: ")
+
     def test_rational_analog(self, tmp_path, capsys):
         code, out, _ = run(capsys, "picent", write(tmp_path, GLOBAL_SIX))
         assert code == 0
@@ -228,6 +262,13 @@ class TestExamples:
         code, out, _ = run(capsys, "example", "nonbasic")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_outer_passes(self, capsys):
+        code, out, _ = run(capsys, "example", "outer", "--json")
+        assert code == 0
+        assertions = json.loads(out)["report"]["assertions"]
+        assert len(assertions) == 8
+        assert all(a["pass"] for a in assertions)
 
     def test_semiprime_passes(self, capsys):
         code, out, _ = run(capsys, "example", "semiprime", "--d", "3")

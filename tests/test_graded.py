@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -11,6 +12,7 @@ from gradedorders.base_rings import (
     maximal_ideals_above,
 )
 from gradedorders.graded import (
+    ActionDoesNotNormalize,
     CocycleViolation,
     CrossedProductDatum,
     GradedError,
@@ -18,6 +20,7 @@ from gradedorders.graded import (
     LocalComponent,
     Monomial,
     NonMinimalOrder,
+    StrongGradingFailure,
     block_corner_graded_order,
     coboundary_cocycle,
     component_is_inner,
@@ -32,17 +35,20 @@ from gradedorders.graded import (
     validate_strong_grading,
 )
 from gradedorders.groups import (
-    Subgroup,
     cyclic_group,
     pinv,
     pmul,
     symmetric_group,
 )
+from gradedorders.oracle import oracle_report
 from gradedorders.pic import PicClass, construct_class_representative
+from gradedorders.semiprime import main_hereditary_verdict
 from gradedorders.tiled import (
+    ExponentMatrix,
     hereditary_staircase,
     radical,
     validate_global_order,
+    validate_order,
 )
 
 M2 = maximal_ideals_above(ZZ, 2)[0]
@@ -248,7 +254,7 @@ class TestCocycleCheck:
 class TestInnerClassification:
     def test_rad_grading_is_outer(self):
         order = rad_grading((1, 1))
-        full = Subgroup(order.group, tuple(order.group.elements))
+        full = order.group.subgroup(tuple(order.group.elements))
         ic = inner_classification(order, full)
         assert ic.is_outer
 
@@ -256,10 +262,10 @@ class TestInnerClassification:
         delta = gaussian_staircase(5)
         x = construct_class_representative(delta, PicClass.of({Q5: 1}))
         order = construct_from_pic(delta, x)
-        full = Subgroup(order.group, tuple(order.group.elements))
+        full = order.group.subgroup(tuple(order.group.elements))
         assert inner_classification(order, full).is_outer
-        assert len(inner_classification(order, full, P5).inner_elements) == 5
-        assert len(inner_classification(order, full, Q5).inner_elements) == 1
+        assert len(inner_classification(order.localize(P5), full).inner_elements) == 5
+        assert len(inner_classification(order.localize(Q5), full).inner_elements) == 1
 
     def test_identity_always_inner(self):
         order = rad_grading((2, 1))
@@ -272,10 +278,10 @@ class TestInnerClassification:
         order = trivial_crossed(delta, group)
         for _ in range(25):
             h = rng.choice(group.elements)
-            sub = Subgroup(group, (h,))
+            sub = group.subgroup((h,))
             g = rng.choice(group.elements)
-            conj = Subgroup(
-                group, tuple(pmul(pmul(pinv(g), x), g) for x in sub.generators)
+            conj = group.subgroup(
+                tuple(pmul(pmul(pinv(g), x), g) for x in sub.generators)
             )
             lhs = set(inner_classification(order, conj).inner_elements)
             rhs = {
@@ -334,7 +340,7 @@ class TestCorners:
 
         delta = hereditary_staircase((1, 1), ZZ, M2)
         order = trivial_crossed(delta, symmetric_group(3))
-        moving = Subgroup(order.group, tuple(order.group.generators))
+        moving = order.group.subgroup(tuple(order.group.generators))
         with pytest.raises(InvalidIdempotent):
             block_corner_graded_order(order, 0, moving)
 
@@ -343,3 +349,73 @@ class TestCorners:
         corner = corner_graded_order(order, (0, 2))
         assert corner.base.blocks[0].n == 2
         assert corner.group.order == order.group.order
+
+
+class TestStrongGradingFailure:
+    def test_tampered_component_names_its_pair(self):
+        order = rad_grading((1, 1))
+        g = order.group.generators[0]
+        # the identity bimodule in place of the radical: g * g wraps by 1/2
+        # and no longer lands on the identity component
+        comps = {g: identity_component(order.base)}
+        with pytest.raises(StrongGradingFailure) as exc:
+            graded_order(order.group, order.base, comps, order.gamma)
+        assert exc.value.pair == (g, g)
+
+
+def swapped_blocks(place):
+    """Delta1 + Delta2 with Delta2 the conjugate of Delta1 by the swap."""
+    return LocalBase(
+        (
+            validate_order(((0, 0), (1, 0)), ZZ, place),
+            validate_order(((0, 1), (0, 0)), ZZ, place),
+        )
+    )
+
+
+def block_swap(mono):
+    """S_2 swapping the two blocks, by mono inside each block."""
+    group = symmetric_group(2)
+    e, s = group.elements
+    idm = identity_monomial(2)
+    return group, CrossedProductDatum({e: (e, (idm, idm)), s: (s, (mono, mono))})
+
+
+def rotation(scalar):
+    """C_2 acting on one 2x2 block by [[0, 1], [scalar, 0]]."""
+    group = cyclic_group(2)
+    e, g = group.elements
+    rot = Monomial((1, 0), (ONE, KElem.of(scalar, 0)))
+    return group, CrossedProductDatum({e: ((0,), (identity_monomial(2),)), g: ((0,), (rot,))})
+
+
+class TestCrossedProductMonomials:
+    def test_block_swap_needs_the_swap_monomial(self):
+        group, datum = block_swap(identity_monomial(2))
+        with pytest.raises(ActionDoesNotNormalize, match=re.escape("failure at ((1, 0), (0, 1))")):
+            construct_crossed_product(swapped_blocks(M2), group, datum)
+
+    @pytest.mark.parametrize("place", [M2, M3], ids=str)
+    def test_block_swap_by_swap_monomial(self, place):
+        group, datum = block_swap(Monomial((1, 0), (ONE, ONE)))
+        order = construct_crossed_product(swapped_blocks(place), group, datum)
+        assert main_hereditary_verdict(order).hereditary
+        assert oracle_report(order, place)["agree"]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_rotation_wraps_by_one_over_p(self, p):
+        place = maximal_ideals_above(ZZ, p)[0]
+        group, datum = rotation(p)
+        base = LocalBase((hereditary_staircase((1, 1), ZZ, place),))
+        order = construct_crossed_product(base, group, datum)
+        g = group.elements[1]
+        assert order.gamma_at(g, g) == (ONE / KElem.of(p, 0),)
+        # delta * w_g is the radical of delta
+        assert order.components[g].mats == (radical(base.blocks[0]).entries,)
+        assert oracle_report(order, place)["agree"]
+
+    def test_non_unit_scalar_needs_a_place(self):
+        group, datum = rotation(2)
+        base = LocalBase((ExponentMatrix(2, ((0, 0), (1, 0)), ZZ),))
+        with pytest.raises(ActionDoesNotNormalize, match="must be a unit"):
+            construct_crossed_product(base, group, datum)

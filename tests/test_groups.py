@@ -7,7 +7,6 @@ from gradedorders.groups import (
     FiniteGroup,
     GroupAction,
     GroupError,
-    Subgroup,
     all_sylow_subgroups,
     conjugate_subgroup,
     cyclic_group,
@@ -57,6 +56,12 @@ class TestGroups:
 
     def test_trivial_group(self):
         assert cyclic_group(1).order == 1
+
+    def test_subgroup_checks_its_generators(self):
+        c3 = cyclic_group(3)
+        assert c3.subgroup(c3.generators).elements == c3.elements
+        with pytest.raises(GroupError):
+            c3.subgroup([perm_from_cycles("(1 2)", 3)])
 
     def test_elements_closed(self):
         g = symmetric_group(3)

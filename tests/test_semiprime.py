@@ -9,7 +9,7 @@ from gradedorders.graded import (
     inner_classification,
     validate_strong_grading,
 )
-from gradedorders.groups import Subgroup, cyclic_group, symmetric_group, sylow_subgroup
+from gradedorders.groups import cyclic_group, symmetric_group, sylow_subgroup
 from gradedorders.semiprime import (
     idempotent_action,
     main_hereditary_verdict,
@@ -88,16 +88,16 @@ class TestVerdict:
             corners = orbit_decompose(order)
             stab = corners[0].data.stabilizer
             p = 2
-            syl = sylow_subgroup(stab.as_group(), p)
+            syl = sylow_subgroup(stab, p)
             corner = corners[0].corner
             corner_inner = len(
                 inner_classification(
-                    corner, Subgroup(corner.group, tuple(syl.elements))
+                    corner, corner.group.subgroup(tuple(syl.elements))
                 ).inner_elements
             )
             full_inner = len(
                 inner_classification(
-                    order, Subgroup(order.group, tuple(syl.elements))
+                    order, order.group.subgroup(tuple(syl.elements))
                 ).inner_elements
             )
             assert corner_inner == syl.order
