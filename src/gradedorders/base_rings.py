@@ -6,9 +6,9 @@ factored form (maximal ideal -> exponent) and can always produce a
 generator.  Generators in Z[i] are normalized to the unique associate in
 the first quadrant (re > 0, im >= 0) so equality tests are deterministic.
 
-Completions never appear as data: a "localized" ring is the global ring
-together with a distinguished maximal ideal, and every downstream
-computation uses only valuations and residue fields.
+Completions never appear as data: local data is the global ring together
+with one maximal ideal (its place), and every downstream computation uses
+only valuations and residue fields.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ MAX_EXPONENT = 10**6
 # below it, seconds at 40 digits and longer past them, so ideal generators
 # and primes read from input are bounded by their norm
 MAX_NORM = 2**64
+# most generators of norm above LARGE_NORM that one input may hold: factoring
+# one takes milliseconds below it and up to about half a second above it
+LARGE_NORM = 2**32
+MAX_LARGE_GENERATORS = 8
 
 
 class RingError(ValueError):
@@ -334,22 +338,15 @@ def place_key(m: MaximalIdeal) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class BaseRing:
-    """Z or Z[i]; the localized variant carries a distinguished maximal
-    ideal, and only its valuation is ever used."""
+    """Z or Z[i]; local data pairs it with one of its maximal ideals."""
 
     kind: str
-    localized_at: MaximalIdeal | None = None
 
-    def localize(self, m: MaximalIdeal) -> BaseRing:
-        if m.ring_kind != self.kind:
-            raise RingError("maximal ideal belongs to a different ring")
-        return BaseRing(self.kind, m)
 
-    def __str__(self) -> str:
-        name = "Z" if self.kind == RING_Z else "Z[i]"
-        if self.localized_at is not None:
-            return f"{name} at {self.localized_at}"
-        return name
+def check_place(ring: BaseRing, m: MaximalIdeal) -> None:
+    """Refuse a maximal ideal of the other ring."""
+    if m.ring_kind != ring.kind:
+        raise RingError("maximal ideal belongs to a different ring")
 
 
 ZZ = BaseRing(RING_Z)
@@ -473,9 +470,7 @@ class FractionalIdealR:
         if ring.kind == RING_Z and z.im != 0:
             raise NotInRing("Gaussian generator over Z")
         fac: dict[MaximalIdeal, int] = {}
-        # the norm over the ring: |z| over Z, z * conj(z) over Z[i]
-        norm = abs(z.re) if ring.kind == RING_Z else z.norm()
-        for p in _factor(norm):
+        for p in _factor(_norm(ring, z)):
             for m in maximal_ideals_above(ring, int(p)):
                 e = element_valuation(ring.kind, z, m)
                 if e:
@@ -512,9 +507,6 @@ class FractionalIdealR:
     def support(self) -> list[MaximalIdeal]:
         return [m for m, _ in self.factors]
 
-    def is_integral(self) -> bool:
-        return all(e > 0 for _, e in self.factors)
-
 
 def valuation(ideal: FractionalIdealR, m: MaximalIdeal) -> int:
     """Exponent of m in the factorization of the fractional ideal."""
@@ -544,24 +536,46 @@ def normalize_scalar(ring: BaseRing, x: KElem) -> KElem:
     return x
 
 
-def ideal_from_json(ring: BaseRing, obj) -> FractionalIdealR:
-    """Parse {"gen": "..."} or {"factors": [["gen", e], ...]}."""
+def _norm(ring: BaseRing, z: GaussianInt) -> int:
+    """The norm over the ring: |z| over Z, z * conj(z) over Z[i]."""
+    return abs(z.re) if ring.kind == RING_Z else z.norm()
+
+
+def ideal_generators(ring: BaseRing, obj) -> list[tuple[GaussianInt, int]]:
+    """Read {"gen": "..."} or {"factors": [["gen", e], ...]} as (generator,
+    exponent) pairs, without factoring anything."""
     if not isinstance(obj, dict):
         raise RingError(f"ideal must be an object, got {obj!r}")
     if "gen" in obj:
-        return FractionalIdealR.principal(ring, _parse_elem(ring, obj["gen"]))
+        return [(_parse_elem(ring, obj["gen"]), 1)]
     if "factors" in obj:
         factors = obj["factors"]
         if not isinstance(factors, list) or not all(
             isinstance(f, list) and len(f) == 2 and type(f[1]) is int for f in factors
         ):
             raise RingError("ideal factors must be a list of [generator, integer exponent] pairs")
-        out = FractionalIdealR.one(ring)
+        out = []
         for gen, e in factors:
             check_exponent(e)
-            out = out * (FractionalIdealR.principal(ring, _parse_elem(ring, gen)) ** e)
+            out.append((_parse_elem(ring, gen), e))
         return out
     raise RingError("ideal object needs 'gen' or 'factors'")
+
+
+def ideal_from_json(ring: BaseRing, obj) -> FractionalIdealR:
+    """Parse {"gen": "..."} or {"factors": [["gen", e], ...]}."""
+    out = FractionalIdealR.one(ring)
+    for z, e in ideal_generators(ring, obj):
+        out = out * (FractionalIdealR.principal(ring, z) ** e)
+    return out
+
+
+def check_factoring_budget(ring: BaseRing, gens) -> None:
+    """Generators of one input with a norm above LARGE_NORM are bounded by
+    MAX_LARGE_GENERATORS, so factoring them all stays within seconds."""
+    large = sum(_norm(ring, z) > LARGE_NORM for z in gens)
+    if large > MAX_LARGE_GENERATORS:
+        raise RingError(f"{large} generators of norm above 2**32 exceed cap {MAX_LARGE_GENERATORS}")
 
 
 def check_exponent(e: int) -> None:

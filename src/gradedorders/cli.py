@@ -25,7 +25,9 @@ from .base_rings import (
     MaximalIdeal,
     RingError,
     check_exponent,
+    check_factoring_budget,
     ideal_from_json,
+    ideal_generators,
     maximal_ideals_above,
     parse_gaussian,
     place_key,
@@ -54,9 +56,8 @@ from .groups import (
     sylow_subgroup,
     symmetric_group,
 )
-from .oracle import OracleError, RankCapExceeded, oracle_report
+from .oracle import OracleError, oracle_report
 from .pic import (
-    NotHereditary,
     PicClass,
     PicError,
     construct_class_representative,
@@ -181,6 +182,11 @@ def parse_tiled_global(obj) -> GlobalTiledOrder:
     ring = _parse_ring(obj)
     entries = _matrix(obj.get("entries"), "entries")
     try:
+        # read and bound every generator before any is factored
+        gens = [[ideal_generators(ring, cell) for cell in row] for row in entries]
+        if any(len(row) != len(gens) for row in gens):
+            raise OrderError("entries are not an n x n matrix")
+        check_factoring_budget(ring, (z for row in gens for cell in row for z, _ in cell))
         rows = [[ideal_from_json(ring, cell) for cell in row] for row in entries]
         return validate_global_order(ring, rows)
     except (RingError, OrderError) as e:
@@ -269,24 +275,21 @@ def parse_graded(obj) -> GradedOrder:
         raise InputError("delta: expected an object")
     local = "prime" in dobj or "staircase" in dobj
     delta = parse_tiled_local(dobj) if local else parse_tiled_global(dobj)
-    try:
-        if kind == "pic-construction":
-            x = _radical_power(delta, obj) if local else _class_representative(delta, obj)
-            n = obj.get("n")
-            if n is not None and _as_int(n, "n") > MAX_DEGREE:
-                # the cyclic group of order n permutes n points
-                raise InputError(f"n: order {n} exceeds cap {MAX_DEGREE}")
-            return construct_from_pic(delta, x, n)
-        if kind == "crossed-product":
-            if not local:
-                raise InputError("kind: crossed products are supported over local bases")
-            return _parse_crossed(obj, delta)
-        if kind == "explicit":
-            if not local:
-                raise InputError("kind: explicit graded orders are supported over local bases")
-            return _parse_explicit(obj, delta)
-    except (GradedError, GroupError, OrderError, RingError) as e:
-        raise InputError(str(e)) from None
+    if kind == "pic-construction":
+        x = _radical_power(delta, obj) if local else _class_representative(delta, obj)
+        n = obj.get("n")
+        if n is not None and _as_int(n, "n") > MAX_DEGREE:
+            # the cyclic group of order n permutes n points
+            raise InputError(f"n: order {n} exceeds cap {MAX_DEGREE}")
+        return construct_from_pic(delta, x, n)
+    if kind == "crossed-product":
+        if not local:
+            raise InputError("kind: crossed products are supported over local bases")
+        return _parse_crossed(obj, delta)
+    if kind == "explicit":
+        if not local:
+            raise InputError("kind: explicit graded orders are supported over local bases")
+        return _parse_explicit(obj, delta)
     raise InputError(f"kind: unknown construction {kind!r}")
 
 
@@ -376,11 +379,7 @@ def cmd_check(args) -> int:
 
 def cmd_picent(args) -> int:
     raw = _load(args.input)
-    order = parse_tiled_global(raw)
-    try:
-        pg = picent_global(order)
-    except NotHereditary as e:
-        raise InputError(str(e)) from None
+    pg = picent_global(parse_tiled_global(raw))
     body = {
         "factors": [
             {"cyclic_order": lp.cyclic_order, "place": str(m)}
@@ -423,12 +422,7 @@ def cmd_oracle_check(args) -> int:
         verdict = main_hereditary_verdict(order)
         places = set(order.places()) | {e.place for e in verdict.breakdown}
         places = sorted(places, key=place_key)
-    reports = []
-    try:
-        for m in places:
-            reports.append(oracle_report(order, m))
-    except RankCapExceeded as e:
-        raise InputError(str(e)) from None
+    reports = [oracle_report(order, m) for m in places]
     body = {"places": reports, "agree": all(r["agree"] for r in reports)}
     rep = _report("oracle-check", raw, body)
     prose = [
@@ -584,7 +578,7 @@ def main(argv=None) -> int:
     args._elapsed = lambda: time.monotonic() - t0
     try:
         return args.fn(args)
-    except (InputError, OracleError, NotHereditary, OrderError, GradedError, RingError) as e:
+    except (InputError, OracleError, OrderError, GradedError, GroupError, RingError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

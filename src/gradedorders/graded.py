@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .base_rings import (
-    ZZ,
     BaseRing,
     FractionalIdealR,
     KElem,
     KONE,
     MaximalIdeal,
+    check_place,
     is_principal,
     kelem_valuation,
     maximal_ideals_above,
@@ -116,6 +116,13 @@ class LocalBase:
         return self.blocks[0].ring
 
 
+def _check_base(base: LocalBase) -> None:
+    """The blocks of a local graded order share one place of their ring."""
+    m = base.place
+    if m is None or any((blk.ring, blk.place) != (BaseRing(m.ring_kind), m) for blk in base.blocks):
+        raise GradedError("the blocks of a local base must share one place of their ring")
+
+
 @dataclass(frozen=True)
 class LocalComponent:
     perm: Perm  # block row i holds its block at column position perm[i]
@@ -156,17 +163,17 @@ class GradedOrder:
 
     def places(self) -> tuple[MaximalIdeal, ...]:
         """The places of the local orders that hold the data."""
-        return tuple(o.base.place for o in self.local_orders() if o.base.place)
+        return tuple(o.base.place for o in self.local_orders())
 
     def localize(self, m: MaximalIdeal) -> GradedOrder:
+        check_place(self.base.ring, m)
         if self.is_local:
             if self.base.place != m:
                 raise GradedError("graded order lives at a different place")
             return self
         if m in self.completions:
             return self.completions[m]
-        ring = self.base.ring.localize(m)
-        blocks = tuple(replace(blk, ring=ring, place=m) for blk in self.base.blocks)
+        blocks = tuple(replace(blk, place=m) for blk in self.base.blocks)
         return GradedOrder(self.group, LocalBase(blocks), dict(self.components), self.gamma)
 
 
@@ -182,6 +189,7 @@ def graded_order(
     components: dict[Perm, LocalComponent],
     gamma: dict | None = None,
 ) -> GradedOrder:
+    _check_base(base)
     order = GradedOrder(group, base, dict(components), dict(gamma or {}))
     e = group.identity
     if e not in order.components:
@@ -234,9 +242,8 @@ def validate_strong_grading(order: GradedOrder):
             gh = pmul(g, h)
             gamma = order.gamma_at(g, h)
             for local in local_orders:
-                ring, m = local.base.ring, local.base.place
-                comps = local.components
-                vals = tuple(0 if m is None else kelem_valuation(ring, c, m) for c in gamma)
+                comps, m = local.components, local.base.place
+                vals = tuple(kelem_valuation(local.base.ring, c, m) for c in gamma)
                 prod = _local_component_product(comps[g], comps[h], vals)
                 if prod.perm != comps[gh].perm:
                     return False, (g, h, "block permutations disagree")
@@ -270,6 +277,7 @@ def construct_from_pic(
         deltas = [localize(delta, m) for m in places]
         xs = [x.get(m, order_ideal(lam)) for m, lam in zip(places, deltas)]
     else:
+        _check_base(LocalBase((delta,)))
         deltas, xs = [delta], [x]
     if any(xm.order != lam for lam, xm in zip(deltas, xs)):
         raise GradedError("bimodule is not over the given order")
@@ -334,9 +342,7 @@ def construct_from_pic(
 
 
 def _scalar_quotient(
-    ring: BaseRing | None,
-    deltas: list[ExponentMatrix],
-    powers: list[FractionalIdealMatrix],
+    ring: BaseRing, deltas: list[ExponentMatrix], powers: list[FractionalIdealMatrix]
 ) -> KElem | None:
     """The canonical scalar c with power == c * delta at every place, if
     one exists."""
@@ -345,13 +351,8 @@ def _scalar_quotient(
         s = constant_shift_of(power.entries, lam.entries)
         if s is None:
             return None
-        if s:
-            if lam.place is None:
-                raise GradedError(
-                    "scalar wrap with nonzero valuation needs a place context"
-                )
-            shifts[lam.place] = s
-    _, gen = is_principal(FractionalIdealR.from_factors(ring or ZZ, shifts))
+        shifts[lam.place] = s
+    _, gen = is_principal(FractionalIdealR.from_factors(ring, shifts))
     return gen
 
 
@@ -414,6 +415,7 @@ def construct_crossed_product(
     """Components delta * w_g, where w_g is the block-monomial matrix of
     the action; the product bookkeeping carries tau relative to the scalar
     defect of the chosen w's."""
+    _check_base(base)
     els = group.elements
     _check_cocycle(group, datum)
     t = base.t
@@ -522,12 +524,7 @@ def _delta_times_monomial(base: LocalBase, w: _BlockMonomial) -> LocalComponent:
         inv = [0] * len(mono.perm)
         for k, c in enumerate(mono.perm):
             inv[c] = k
-        vals = [
-            kelem_valuation(blk.ring, c, blk.place)
-            if blk.place is not None
-            else _require_unit(c)
-            for c in mono.scalars
-        ]
+        vals = [kelem_valuation(blk.ring, c, blk.place) for c in mono.scalars]
         mats.append(
             tuple(
                 tuple(blk.entries[a][inv[b]] + vals[inv[b]] for b in range(blk.n))
@@ -535,15 +532,6 @@ def _delta_times_monomial(base: LocalBase, w: _BlockMonomial) -> LocalComponent:
             )
         )
     return LocalComponent(w.block_perm, tuple(mats))
-
-
-def _require_unit(c: KElem) -> int:
-    num, den = c.as_int_pair()
-    if num.norm() != den * den:
-        raise ActionDoesNotNormalize(
-            "monomial scalar must be a unit when no place context is given"
-        )
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +661,7 @@ def block_corner_graded_order(
 class VerdictEntry:
     orbit: int
     prime: int
-    place: MaximalIdeal | None
+    place: MaximalIdeal
     sylow: FiniteGroup
     inner_witness: Perm | None
 
@@ -693,13 +681,9 @@ def _delta_hereditary(order: GradedOrder) -> bool:
     )
 
 
-def _places_containing(order: GradedOrder, p: int) -> list[MaximalIdeal | None]:
-    if order.is_local:
-        place = order.base.place
-        if place is None:
-            raise GradedError("verdict needs a place context on the base order")
-        return [place] if place.residue_char == p else []
-    return list(maximal_ideals_above(order.base.ring, p))
+def _places_containing(order: GradedOrder, p: int) -> list[MaximalIdeal]:
+    places = maximal_ideals_above(order.base.ring, p)
+    return [m for m in places if not order.is_local or m == order.base.place]
 
 
 def _group_prime_divisors(n: int) -> list[int]:

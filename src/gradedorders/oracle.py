@@ -1,7 +1,7 @@
 """Brute-force hereditariness oracle for graded orders at one place.
 
 The graded order is flattened to an explicit structure-constant algebra
-over the localized base ring: basis elements are matrix units scaled by
+over the completed base ring: basis elements are matrix units scaled by
 uniformizer powers, one per component entry, tagged with the grade.  The
 radical of the reduction mod m is found by the characteristic-polynomial
 coefficient chain (valid in small characteristic, where the plain trace
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base_rings import BaseRing, KElem, MaximalIdeal
+from .base_rings import KElem, MaximalIdeal
 from .gf import digit_map
 from .graded import GradedOrder
 from .groups import pmul
@@ -101,7 +101,6 @@ class StructureConstantOrder:
 
     order: GradedOrder
     place: MaximalIdeal
-    ring: BaseRing
     rank: int
     labels: list
     products: dict
@@ -162,13 +161,8 @@ class StructureConstantOrder:
 def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
     """Realize the completion of the graded order at m as a structure
     constant algebra; associativity is verified exhaustively."""
-    if order.is_local and order.base.place != m:
-        raise OracleError("graded order lives at a different place")
     local = order.localize(m)
     base = local.base
-    ring = base.ring
-    if ring is None:
-        raise OracleError("oracle needs a base ring context")
     t = base.t
     sizes = [blk.n for blk in base.blocks]
     offs = [0]
@@ -235,7 +229,7 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
                 raise AssociativityFailure(
                     f"associativity fails on basis triple ({e1},{e2},{e3})"
                 )
-    return StructureConstantOrder(local, m, ring, n_total, labels, products, columns)
+    return StructureConstantOrder(local, m, n_total, labels, products, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -527,15 +521,15 @@ def _certify(alg: _Alg, basis, pivots):
         raise OracleError("radical certification failed: not nilpotent")
 
 
-def _quotient(alg: _Alg, v) -> _Alg:
+def _quotient(alg: _Alg, basis, pivots) -> _Alg:
+    """The quotient by the span of a reduced-echelon basis."""
     p, n = alg.p, alg.n
-    rr, pivots = _rref(v, p)
     comp = [c for c in range(n) if c not in pivots]
     q = len(comp)
     # proj[t] = the image of e_t in the basis of complement indices
     proj = np.zeros((n, q), dtype=alg.dtype)
     proj[comp, np.arange(q)] = 1
-    proj[pivots] = (-rr[: len(pivots)][:, comp]) % p
+    proj[pivots] = (-basis[:, comp]) % p
     cidx = np.full(n, -1)
     cidx[comp] = np.arange(q)
     keep = (cidx[alg.e1] >= 0) & (cidx[alg.e2] >= 0)
@@ -562,7 +556,7 @@ def radical_mod_m(A: StructureConstantOrder):
     p = alg.p
     basis, pivots = _row_basis(_radical_chain(alg), p)
     _certify(alg, basis, pivots)
-    if 0 < len(basis) < alg.n and len(_radical_chain(_quotient(alg, basis))):
+    if 0 < len(basis) < alg.n and len(_radical_chain(_quotient(alg, basis, pivots))):
         raise OracleError("radical certification failed: quotient has a radical")
     return tuple(tuple(int(x) for x in row) for row in basis)
 

@@ -19,6 +19,7 @@ from .base_rings import (
     BaseRing,
     FractionalIdealR,
     MaximalIdeal,
+    check_place,
     place_key,
     valuation,
 )
@@ -85,7 +86,7 @@ def constant_shift_of(a: IntMatrix, b: IntMatrix) -> int | None:
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """A tiled order in M_n over the completion at one maximal ideal."""
+    """A tiled order in M_n at ``place`` of ``ring``; without them, a plain exponent matrix."""
 
     n: int
     entries: IntMatrix
@@ -365,22 +366,19 @@ def validate_global_order(
             raise OrderError(f"diagonal entry ({i},{i}) is not the base ring")
     places = {m for row in rows for ideal in row for m in ideal.support()}
     local = tuple(
-        validate_order(
-            [[valuation(ideal, m) for ideal in row] for row in rows],
-            ring.localize(m),
-            m,
-        )
+        validate_order([[valuation(ideal, m) for ideal in row] for row in rows], ring, m)
         for m in sorted(places, key=place_key)
     )
     return GlobalTiledOrder(ring, n, local)
 
 
 def localize(order: GlobalTiledOrder, m: MaximalIdeal) -> ExponentMatrix:
+    check_place(order.ring, m)
     for lam in order.local:
         if lam.place == m:
             return lam
     zero = tuple((0,) * order.n for _ in range(order.n))
-    return ExponentMatrix(order.n, zero, order.ring.localize(m), m)
+    return ExponentMatrix(order.n, zero, order.ring, m)
 
 
 def is_hereditary_global(

@@ -245,8 +245,3 @@ class TestFractionalIdeal:
         (m2,) = maximal_ideals_above(ZZ, 2)
         (m3,) = maximal_ideals_above(ZZ, 3)
         assert valuation(a, m2) == 2 and valuation(a, m3) == 1
-
-    def test_integrality(self):
-        (m,) = maximal_ideals_above(ZZ, 3)
-        assert FractionalIdealR.from_factors(ZZ, {m: 1}).is_integral()
-        assert not FractionalIdealR.from_factors(ZZ, {m: -1}).is_integral()

@@ -2,10 +2,12 @@ import contextlib
 import copy
 import io
 import json
+import random
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from sympy import nextprime
 
 from gradedorders import base_rings
 from gradedorders.cli import load_fixture, main
@@ -173,12 +175,24 @@ class TestCheck:
         assert rep["report"]["hereditary"] is True
 
 
+def refuse_factoring(n):
+    raise AssertionError(f"factorint({n}) called")
+
+
+def semiprime_entries(n):
+    """An n x n order with a product of two 32-bit primes below the
+    diagonal: factoring them all would take seconds."""
+    rng = random.Random(n)
+    primes = iter(nextprime(rng.randrange(2**31, 2**32)) for _ in range(n * n))
+    return [
+        [{"gen": next(primes) * next(primes)} if i > j else {"factors": []} for j in range(n)]
+        for i in range(n)
+    ]
+
+
 class TestPicent:
     def test_oversized_generator_is_not_factored(self, tmp_path, capsys, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"factorint({n}) called")
-
-        monkeypatch.setattr(base_rings, "factorint", refuse)
+        monkeypatch.setattr(base_rings, "factorint", refuse_factoring)
         spec = {
             "ring": "Z",
             "n": 2,
@@ -190,6 +204,20 @@ class TestPicent:
         code, _, err = run(capsys, "picent", write(tmp_path, spec))
         assert code == 2
         assert err.startswith("error: entries: ")
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (semiprime_entries(12), "66 generators of norm above 2**32 exceed cap 8"),
+            ([[{"factors": []}] * 2, [{"gen": 6}] * 100], "entries are not an n x n matrix"),
+        ],
+        ids=["semiprimes", "ragged"],
+    )
+    def test_input_is_checked_before_factoring(self, tmp_path, capsys, monkeypatch, entries, message):
+        monkeypatch.setattr(base_rings, "factorint", refuse_factoring)
+        code, _, err = run(capsys, "picent", write(tmp_path, {"ring": "Z", "entries": entries}))
+        assert code == 2
+        assert err == f"error: entries: {message}\n"
 
     def test_rational_analog(self, tmp_path, capsys):
         code, out, _ = run(capsys, "picent", write(tmp_path, GLOBAL_SIX))

@@ -9,6 +9,7 @@ from gradedorders.base_rings import (
     ZI,
     FractionalIdealR,
     KElem,
+    RingError,
     maximal_ideals_above,
 )
 from gradedorders.graded import (
@@ -46,6 +47,7 @@ from gradedorders.semiprime import main_hereditary_verdict
 from gradedorders.tiled import (
     ExponentMatrix,
     hereditary_staircase,
+    localize,
     radical,
     validate_global_order,
     validate_order,
@@ -414,8 +416,38 @@ class TestCrossedProductMonomials:
         assert order.components[g].mats == (radical(base.blocks[0]).entries,)
         assert oracle_report(order, place)["agree"]
 
-    def test_non_unit_scalar_needs_a_place(self):
+    def test_placeless_base_is_refused(self):
         group, datum = rotation(2)
-        base = LocalBase((ExponentMatrix(2, ((0, 0), (1, 0)), ZZ),))
-        with pytest.raises(ActionDoesNotNormalize, match="must be a unit"):
+        delta = ExponentMatrix(2, ((0, 0), (1, 0)), ZZ)
+        with pytest.raises(GradedError, match="share one place"):
+            construct_crossed_product(LocalBase((delta,)), group, datum)
+        with pytest.raises(GradedError, match="share one place"):
+            graded_order(cyclic_group(1), LocalBase((delta,)), {})
+        with pytest.raises(GradedError, match="share one place"):
+            construct_from_pic(delta, radical(delta))
+
+
+class TestOnePlace:
+    def test_same_order_by_two_routes(self):
+        one, two = FractionalIdealR.one(ZZ), FractionalIdealR.principal(ZZ, 2)
+        delta = localize(validate_global_order(ZZ, [[one, one], [two, one]]), M2)
+        staircase = hereditary_staircase((1, 1), ZZ, M2)
+        assert delta == staircase
+        order = construct_from_pic(delta, radical(staircase))
+        assert order.group.order == 2
+
+    def test_blocks_at_two_places_are_refused(self):
+        base = LocalBase(tuple(hereditary_staircase((1, 1), ZZ, m) for m in (M2, M3)))
+        with pytest.raises(GradedError, match="share one place"):
+            graded_order(cyclic_group(1), base, {})
+        group, datum = block_swap(identity_monomial(2))
+        with pytest.raises(GradedError, match="share one place"):
             construct_crossed_product(base, group, datum)
+
+    def test_foreign_place_is_refused(self):
+        one, six = FractionalIdealR.one(ZZ), FractionalIdealR.principal(ZZ, 6)
+        delta = validate_global_order(ZZ, [[one, one], [six, one]])
+        order = construct_from_pic(delta, construct_class_representative(delta, PicClass.of({M2: 1})))
+        for m in (P5, maximal_ideals_above(ZI, 3)[0]):
+            with pytest.raises(RingError):
+                order.localize(m)

@@ -73,8 +73,9 @@ TEST_REFERENCE_HELPERS = {
 
 
 def test_public_names_are_used():
-    # no dead exports: every public top-level def or class is referenced by
-    # other package code, exported in __all__, or a listed test helper
+    # no dead exports: every public top-level def or class, and every
+    # public method or property of a package class, is referenced by other
+    # package code, exported in __all__, or a listed test helper
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
     used = set()
     for tree in trees.values():
@@ -84,12 +85,18 @@ def test_public_names_are_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     allowed = used | set(gradedorders.__all__) | set(TEST_REFERENCE_HELPERS)
-    unused = [
-        f"{name}:{node.name}"
+    defs = [
+        (f"{name}:{node.name}", node)
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in allowed
     ]
+    defs += [
+        (f"{where}.{node.name}", node)
+        for where, cls in defs
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    unused = [where for where, node in defs if not node.name.startswith("_") and node.name not in allowed]
     assert unused == []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, maximal_ideals_above
+from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, RingError, maximal_ideals_above
 from gradedorders.pic import PicClass, construct_class_representative
 from gradedorders.tiled import (
     ClosureViolation,
@@ -195,6 +195,13 @@ class TestGlobal:
         # off the support the order is maximal
         (m5,) = maximal_ideals_above(ZZ, 5)
         assert localize(order, m5).entries == ((0, 0), (0, 0))
+
+    def test_localize_refuses_a_foreign_place(self):
+        order = self.make_order()
+        # (1+i) lies over 2, in the support, and (3) of Z[i] over 3
+        for m in (maximal_ideals_above(ZI, 2)[0], maximal_ideals_above(ZI, 3)[0]):
+            with pytest.raises(RingError):
+                localize(order, m)
 
     def test_hereditary_global(self):
         ok, failing = is_hereditary_global(self.make_order())
