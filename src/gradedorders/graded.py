@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .base_rings import (
     BaseRing,
@@ -34,8 +34,10 @@ from .base_rings import (
 from .groups import (
     FiniteGroup,
     Perm,
+    cayley_table,
     cyclic_group,
     identity_perm,
+    pinv,
     pmul,
     sylow_subgroup,
 )
@@ -219,10 +221,12 @@ def _local_component_product(
     return LocalComponent(perm, mats)
 
 
-def validate_strong_grading(order: GradedOrder):
+def validate_strong_grading(order: GradedOrder, lefts: Iterable[Perm] | None = None):
     """Exact equality of scaled component products with the component of
-    the product grade, for every pair and at every local order holding the
-    data; returns (ok, witness)."""
+    the product grade, for every pair (g, h) with g in lefts (by default
+    the whole group) and at every local order holding the data; returns
+    (ok, witness).  The distinct gamma tuples are numbered once, and each
+    is valuated at most once per local order, on first use."""
     els = order.group.elements
     local_orders = order.local_orders()
     for local in local_orders:
@@ -237,14 +241,19 @@ def validate_strong_grading(order: GradedOrder):
                 mat = comp.mats[i]
                 if len(mat) != sizes[i] or any(len(r) != sizes[comp.perm[i]] for r in mat):
                     raise GradedError("component block has wrong shape")
-    for g in els:
+    numbers = {tuple(KONE for _ in range(order.base.t)): 0}
+    index = {pair: numbers.setdefault(vals, len(numbers)) for pair, vals in order.gamma.items()}
+    gammas = list(numbers)
+    valuations = [[None] * len(gammas) for _ in local_orders]
+    for g in els if lefts is None else lefts:
         for h in els:
             gh = pmul(g, h)
-            gamma = order.gamma_at(g, h)
-            for local in local_orders:
+            k = index.get((g, h), 0)
+            for local, vals in zip(local_orders, valuations):
                 comps, m = local.components, local.base.place
-                vals = tuple(kelem_valuation(local.base.ring, c, m) for c in gamma)
-                prod = _local_component_product(comps[g], comps[h], vals)
+                if vals[k] is None:
+                    vals[k] = tuple(kelem_valuation(local.base.ring, c, m) for c in gammas[k])
+                prod = _local_component_product(comps[g], comps[h], vals[k])
                 if prod.perm != comps[gh].perm:
                     return False, (g, h, "block permutations disagree")
                 if prod.mats != comps[gh].mats:
@@ -368,14 +377,6 @@ class Monomial:
     perm: Perm
     scalars: tuple[KElem, ...]
 
-    def compose(self, other: Monomial) -> Monomial:
-        perm = tuple(other.perm[self.perm[k]] for k in range(len(self.perm)))
-        scalars = tuple(
-            self.scalars[k] * other.scalars[self.perm[k]]
-            for k in range(len(self.perm))
-        )
-        return Monomial(perm, scalars)
-
     @staticmethod
     def identity(n: int) -> Monomial:
         return Monomial(identity_perm(n), tuple(KONE for _ in range(n)))
@@ -395,15 +396,31 @@ class CrossedProductDatum:
         return self.cocycle.get((g, h), KONE)
 
 
+# a block-monomial matrix as (block_perm, monos): block row i holds monos[i]
+# at block column block_perm[i]
+_BlockMonomial = tuple[Perm, tuple[Monomial, ...]]
+
+
 def coboundary_cocycle(
     group: FiniteGroup, mu: Mapping[Perm, KElem]
 ) -> dict[tuple[Perm, Perm], KElem]:
     """The 2-cocycle tau(g,h) = mu(g) mu(h) mu(gh)^-1; always satisfies the
-    cocycle identity."""
+    cocycle identity.  The distinct values of mu are numbered and inverted
+    once, and each product of numbered values is formed once."""
+    els = group.elements
+    values: dict[KElem, int] = {}
+    numbers = [values.setdefault(mu.get(g, KONE), len(values)) for g in els]
+    scalars = list(values)
+    inverses = [x.inverse() for x in scalars]
+    products: dict[tuple[int, int, int], KElem] = {}
     out = {}
-    for g in group.elements:
-        for h in group.elements:
-            out[(g, h)] = mu.get(g, KONE) * mu.get(h, KONE) * mu.get(pmul(g, h), KONE).inverse()
+    for g, a, row in zip(els, numbers, cayley_table(group)):
+        for h, b, gh in zip(els, numbers, row):
+            key = (a, b, numbers[gh])
+            tau = products.get(key)
+            if tau is None:
+                tau = products[key] = scalars[a] * scalars[b] * inverses[key[2]]
+            out[(g, h)] = tau
     return out
 
 
@@ -413,8 +430,19 @@ def construct_crossed_product(
     datum: CrossedProductDatum,
 ) -> GradedOrder:
     """Components delta * w_g, where w_g is the block-monomial matrix of
-    the action; the product bookkeeping carries tau relative to the scalar
-    defect of the chosen w's."""
+    the action, and gamma = tau / beta, where w_g w_h = beta(g,h) w_gh with
+    one scalar per block.  beta is 1 when every monomial scalar is 1, and
+    gamma keeps only the tuples that are not all ones.
+
+    Both checks run on the pairs (g, s) or (s, h) only, with s the identity
+    or a generator; induction on word length gives every pair.
+    Homomorphism: write a ~ b when a = D b with D diagonal, one scalar per
+    block; ~ is kept by products on either side, so
+    w_g w_hs ~ w_g w_h w_s ~ w_gh w_s ~ w_ghs.  Strong grading, with
+    X_g = delta * w_g: expanding (w_g w_s) w_h = w_g (w_s w_h) shows that
+    beta, and so gamma, satisfies the cocycle identity twisted by the block
+    permutation of w_g, so X_gs X_h gamma(gs,h) =
+    X_g X_s X_h gamma(g,s) gamma(gs,h) = X_g X_sh gamma(g,sh) = X_gsh."""
     _check_base(base)
     els = group.elements
     _check_cocycle(group, datum)
@@ -424,7 +452,7 @@ def construct_crossed_product(
     for g in els:
         if g not in datum.action:
             raise GradedError("action is not defined on every group element")
-        bperm, monos = datum.action[g]
+        bperm, monos = ws[g] = datum.action[g]
         if sorted(bperm) != list(range(t)):
             raise ActionDoesNotNormalize("block permutation invalid")
         for i in range(t):
@@ -434,26 +462,36 @@ def construct_crossed_product(
                 )
             if len(monos[i].perm) != sizes[i]:
                 raise ActionDoesNotNormalize("monomial size mismatch")
-        ws[g] = _BlockMonomial(bperm, tuple(monos))
-    comps = {g: _delta_times_monomial(base, ws[g]) for g in els}
-    gamma: dict[tuple[Perm, Perm], tuple[KElem, ...]] = {}
-    for g in els:
-        for h in els:
-            gh = pmul(g, h)
-            prod = ws[g].compose(ws[h])
-            beta = _central_quotient(prod, ws[gh], sizes)
-            if beta is None:
+    ones = all(c == KONE for _, monos in ws.values() for mono in monos for c in mono.scalars)
+    steps = sorted({group.identity, *group.generators})
+    for s in steps:
+        for g in els:
+            if _central_quotient(ws[g], ws[s], ws[pmul(g, s)], ones) is None:
                 raise ActionDoesNotNormalize(
                     "action is not a homomorphism up to central scalars"
                 )
-            tau = datum.tau(g, h)
-            gamma[(g, h)] = tuple(tau / b for b in beta)
-    try:
-        return graded_order(group, base, comps, gamma)
-    except StrongGradingFailure as e:
+    gamma: dict[tuple[Perm, Perm], tuple[KElem, ...]] = {}
+    if ones:
+        members = group.element_set
+        for (g, h), tau in (datum.cocycle or {}).items():
+            if tau != KONE and g in members and h in members:
+                gamma[(g, h)] = (tau,) * t
+    else:
+        for g in els:
+            for h in els:
+                beta = _central_quotient(ws[g], ws[h], ws[pmul(g, h)])
+                tau = datum.tau(g, h)
+                vals = tuple(tau / b for b in beta)
+                if any(v != KONE for v in vals):
+                    gamma[(g, h)] = vals
+    comps = {g: _delta_times_monomial(base, ws[g]) for g in els}
+    order = GradedOrder(group, base, comps, gamma)
+    ok, witness = validate_strong_grading(order, steps)
+    if not ok:
         raise ActionDoesNotNormalize(
-            f"action does not normalize the order: failure at {e.pair}"
-        ) from None
+            f"action does not normalize the order: failure at {witness[:2]}"
+        )
+    return order
 
 
 def _check_cocycle(group: FiniteGroup, datum: CrossedProductDatum) -> None:
@@ -466,8 +504,7 @@ def _check_cocycle(group: FiniteGroup, datum: CrossedProductDatum) -> None:
     if datum.cocycle is None:
         return  # tau == 1 satisfies the identity
     els = group.elements
-    index = {g: i for i, g in enumerate(els)}
-    cayley = [[index[pmul(g, h)] for h in els] for g in els]
+    cayley = cayley_table(group)
     values: dict[KElem, int] = {}
     tau = [[values.setdefault(datum.tau(g, h), len(values)) for h in els] for g in els]
     numbers: dict[KElem, int] = {}
@@ -482,56 +519,37 @@ def _check_cocycle(group: FiniteGroup, datum: CrossedProductDatum) -> None:
                 raise CocycleViolation(els[g], els[h], els[k])
 
 
-@dataclass(frozen=True)
-class _BlockMonomial:
-    block_perm: Perm
-    monos: tuple[Monomial, ...]  # monos[i] sits in block position (i, block_perm[i])
-
-    def compose(self, other: _BlockMonomial) -> _BlockMonomial:
-        bperm = tuple(
-            other.block_perm[self.block_perm[i]] for i in range(len(self.block_perm))
-        )
-        monos = tuple(
-            self.monos[i].compose(other.monos[self.block_perm[i]])
-            for i in range(len(self.block_perm))
-        )
-        return _BlockMonomial(bperm, monos)
-
-
 def _central_quotient(
-    a: _BlockMonomial, b: _BlockMonomial, sizes: tuple[int, ...]
+    a: _BlockMonomial, b: _BlockMonomial, ab: _BlockMonomial, ones: bool = False
 ) -> tuple[KElem, ...] | None:
-    """Per-block scalars beta with a == beta * b, or None."""
-    if a.block_perm != b.block_perm:
+    """Per-block scalars beta with a * b == beta * ab, or None.  With
+    ``ones`` every scalar of the three is 1: only the permutations are
+    composed, and beta is all ones."""
+    (pa, ma), (pb, mb), (pab, mab) = a, b, ab
+    if pmul(pa, pb) != pab:
         return None
     out = []
-    for i in range(len(sizes)):
-        ma, mb = a.monos[i], b.monos[i]
-        if ma.perm != mb.perm:
+    for x, y, xy in zip(ma, (mb[j] for j in pa), mab):
+        if pmul(x.perm, y.perm) != xy.perm:
             return None
-        ratio = ma.scalars[0] / mb.scalars[0]
-        for k in range(len(ma.scalars)):
-            if ma.scalars[k] != ratio * mb.scalars[k]:
+        if not ones:
+            prod = [c * y.scalars[k] for c, k in zip(x.scalars, x.perm)]
+            ratio = prod[0] / xy.scalars[0]
+            if any(c != ratio * d for c, d in zip(prod, xy.scalars)):
                 return None
-        out.append(ratio)
-    return tuple(out)
+            out.append(ratio)
+    return (KONE,) * len(pa) if ones else tuple(out)
 
 
 def _delta_times_monomial(base: LocalBase, w: _BlockMonomial) -> LocalComponent:
     """The lattice delta * w as a block component."""
+    bperm, monos = w
     mats = []
-    for blk, mono in zip(base.blocks, w.monos):
-        inv = [0] * len(mono.perm)
-        for k, c in enumerate(mono.perm):
-            inv[c] = k
+    for blk, mono in zip(base.blocks, monos):
         vals = [kelem_valuation(blk.ring, c, blk.place) for c in mono.scalars]
-        mats.append(
-            tuple(
-                tuple(blk.entries[a][inv[b]] + vals[inv[b]] for b in range(blk.n))
-                for a in range(blk.n)
-            )
-        )
-    return LocalComponent(w.block_perm, tuple(mats))
+        inv = pinv(mono.perm)  # column b of delta * w is column inv[b] of delta
+        mats.append(tuple(tuple(row[k] + vals[k] for k in inv) for row in blk.entries))
+    return LocalComponent(bperm, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +662,12 @@ def block_corner_graded_order(
     comps = {}
     for h in subgroup.elements:
         comps[h] = LocalComponent((0,), (order.components[h].mats[block],))
-    gamma = {}
-    for h1 in subgroup.elements:
-        for h2 in subgroup.elements:
-            scal = order.gamma_at(h1, h2)[block]
-            if scal != KONE:
-                gamma[(h1, h2)] = (scal,)
+    members = subgroup.element_set
+    gamma = {
+        (h1, h2): (vals[block],)
+        for (h1, h2), vals in order.gamma.items()
+        if vals[block] != KONE and h1 in members and h2 in members
+    }
     return graded_order(subgroup, base, comps, gamma)
 
 

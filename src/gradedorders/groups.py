@@ -38,7 +38,7 @@ def identity_perm(degree: int) -> Perm:
 
 def pmul(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple([q[i] for i in p])
 
 
 def pinv(p: Perm) -> Perm:
@@ -154,6 +154,26 @@ class FiniteGroup:
         return FiniteGroup(self.degree, gens)
 
 
+def cayley_table(group: FiniteGroup) -> list[list[int]]:
+    """table[i][j] is the index of elements[i] * elements[j].  Row i is
+    where left multiplication by elements[i] sends each index, so the row
+    of g * s is the row of g read through the row of s: along a spanning
+    tree from the identity, only the generators' rows multiply
+    permutations."""
+    els = group.elements
+    index = {g: i for i, g in enumerate(els)}
+    gens = [(index[s], [index[pmul(s, h)] for h in els]) for s in group.generators]
+    rows = {index[group.identity]: list(range(len(els)))}
+    todo = list(rows.values())
+    while todo:
+        row = todo.pop()
+        for s, row_s in gens:
+            if row[s] not in rows:
+                rows[row[s]] = new = [row[k] for k in row_s]
+                todo.append(new)
+    return [rows[i] for i in range(len(els))]
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     if n <= 1:
         return FiniteGroup(max(n, 1), ())
@@ -247,19 +267,23 @@ class GroupAction:
     mapping: Callable[[Perm, int], int]
 
     def validate(self) -> None:
+        """The identity fixes every point, and x.(gs) == (x.g).s for every
+        g and every generator s.  That covers every pair (g, h): by
+        induction on the length of h as a word in the generators,
+        x.(ghs) == (x.(gh)).s == ((x.g).h).s == (x.g).(hs), starting from
+        x.(ge) == x.g == (x.g).e."""
         e = self.group.identity
         for x in range(self.set_size):
             if self.mapping(e, x) != x:
                 raise ActionError(f"identity moves point {x}")
-        els = self.group.elements
-        for g in els:
-            for h in els:
-                gh = pmul(g, h)
+        for g in self.group.elements:
+            for s in self.group.generators:
+                gs = pmul(g, s)
                 for x in range(self.set_size):
-                    if self.mapping(gh, x) != self.mapping(h, self.mapping(g, x)):
+                    if self.mapping(gs, x) != self.mapping(s, self.mapping(g, x)):
                         raise ActionError(
                             f"incompatible pair (g={perm_to_cycles(g)}, "
-                            f"h={perm_to_cycles(h)}) at point {x}"
+                            f"h={perm_to_cycles(s)}) at point {x}"
                         )
 
 

@@ -99,7 +99,6 @@ class StructureConstantOrder:
     power.  products maps a pair of basis indices to (target, exact unit
     scalar times uniformizer power)."""
 
-    order: GradedOrder
     place: MaximalIdeal
     rank: int
     labels: list
@@ -229,7 +228,7 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
                 raise AssociativityFailure(
                     f"associativity fails on basis triple ({e1},{e2},{e3})"
                 )
-    return StructureConstantOrder(local, m, n_total, labels, products, columns)
+    return StructureConstantOrder(m, n_total, labels, products, columns)
 
 
 # ---------------------------------------------------------------------------

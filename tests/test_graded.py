@@ -10,6 +10,7 @@ from gradedorders.base_rings import (
     FractionalIdealR,
     KElem,
     RingError,
+    kelem_valuation,
     maximal_ideals_above,
 )
 from gradedorders.graded import (
@@ -17,6 +18,7 @@ from gradedorders.graded import (
     CocycleViolation,
     CrossedProductDatum,
     GradedError,
+    GradedOrder,
     LocalBase,
     LocalComponent,
     Monomial,
@@ -451,3 +453,200 @@ class TestOnePlace:
         for m in (P5, maximal_ideals_above(ZI, 3)[0]):
             with pytest.raises(RingError):
                 order.localize(m)
+
+
+# ---------------------------------------------------------------------------
+# Crossed products checked on generators against the checks on every pair
+
+
+def flat_rows(w, sizes):
+    """Row r of the block-monomial matrix w = (block_perm, monomials) as its
+    one (column, scalar) pair, in the indices of the whole matrix."""
+    bperm, monos = w
+    offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+    return [
+        (offsets[bperm[i]] + c, x)
+        for i, mono in enumerate(monos)
+        for c, x in zip(mono.perm, mono.scalars)
+    ]
+
+
+def block_scalar_quotient(a, b, ab, sizes):
+    """The per-block scalars beta with a * b == beta * ab, for flat rows,
+    or None."""
+    prod = [(b[c][0], x * b[c][1]) for c, x in a]
+    if [c for c, _ in prod] != [c for c, _ in ab]:
+        return None
+    ratios = [x / y for (_, x), (_, y) in zip(prod, ab)]
+    blocks = [ratios[sum(sizes[:i]) : sum(sizes[: i + 1])] for i in range(len(sizes))]
+    if any(r != block[0] for block in blocks for r in block):
+        return None
+    return tuple(block[0] for block in blocks)
+
+
+def naive_crossed_product(base, group, datum):
+    """The crossed product by the checks on every pair of grades, written
+    out on whole matrices: w_g w_h == beta(g,h) w_gh at every pair, then
+    the full validate_strong_grading.  None where they reject the datum."""
+    els = group.elements
+    sizes = [blk.n for blk in base.blocks]
+    rows = {g: flat_rows(datum.action[g], sizes) for g in els}
+    gamma = {}
+    for g in els:
+        for h in els:
+            beta = block_scalar_quotient(rows[g], rows[h], rows[pmul(g, h)], sizes)
+            if beta is None:
+                return None
+            gamma[(g, h)] = tuple(datum.tau(g, h) / b for b in beta)
+    comps = {}
+    for g in els:
+        bperm, monos = datum.action[g]
+        mats = []
+        for blk, mono in zip(base.blocks, monos):
+            # (delta w)[a][c] = delta[a][k] w[k][c], w[k][c] = x at c = perm[k]
+            mat = [[None] * blk.n for _ in range(blk.n)]
+            for k, (c, x) in enumerate(zip(mono.perm, mono.scalars)):
+                v = kelem_valuation(blk.ring, x, blk.place)
+                for a in range(blk.n):
+                    mat[a][c] = blk.entries[a][k] + v
+            mats.append(tuple(map(tuple, mat)))
+        comps[g] = LocalComponent(tuple(bperm), tuple(mats))
+    order = GradedOrder(group, base, comps, gamma)
+    return order if validate_strong_grading(order)[0] else None
+
+
+def sign(g):
+    """0 for an even permutation, 1 for an odd one."""
+    return sum(1 for i in range(len(g)) for j in range(i) if g[j] > g[i]) % 2
+
+
+SWAP = Monomial((1, 0), (ONE, ONE))
+
+
+def sign_action(group, odd):
+    """S_n permuting n blocks, by the monomial odd inside each block at odd
+    elements and by the identity at even ones."""
+    idm = identity_monomial(2)
+    return {g: (g, (odd if sign(g) else idm,) * group.degree) for g in group.elements}
+
+
+def non_generator(group):
+    return next(g for g in reversed(group.elements) if g not in group.generators)
+
+
+def crossed_cases():
+    """(id, base, group, datum) over S_3 and S_4 at (2) and (3) and at the
+    Gaussian places over 2 and 3, then the two-block swap and the rotation
+    at (2) and (3)."""
+    rng = random.Random(8)
+    cases = []
+    places = [(str(m), ZZ, m) for m in (M2, M3)]
+    places += [(f"ZI{m}", ZI, maximal_ideals_above(ZI, p)[0]) for p, m in ((2, M2), (3, M3))]
+    gauss = [KElem.of(0, 1), KElem.of(1, 2), KElem.of(2, 1), KElem.of(1, 1), KElem.of(-1, 0)]
+    for n in (3, 4):
+        group = symmetric_group(n)
+        els = group.elements
+        for label, ring, m in places:
+            base = LocalBase((hereditary_staircase((1, 1), ring, m),) * n)
+            plain = sign_action(group, identity_monomial(2))
+
+            def add(name, action, mu=None):
+                cocycle = None if mu is None else coboundary_cocycle(group, mu)
+                datum = CrossedProductDatum(action, cocycle)
+                cases.append((f"S{n}@{label}-{name}", base, group, datum))
+
+            if ring == ZI:
+                add("gauss", plain, {g: rng.choice(gauss) for g in els})
+                add("gauss-units", plain, {g: rng.choice((gauss[0], gauss[4])) for g in els})
+                continue
+            add("trivial", plain)
+            add("coboundary", plain, {g: KElem.of(rng.choice((1, -1)), 0) for g in els})
+            add("valued", plain, {g: KElem.of(rng.choice((1, 2, 3, -5)), 0) for g in els})
+            add("swap", sign_action(group, SWAP))
+            for p in (2, 3):
+                add(f"rotation{p}", sign_action(group, Monomial((1, 0), (ONE, KElem.of(p, 0)))))
+            g = non_generator(group)
+            for name, mono in (
+                ("wrong-w", Monomial((0, 1), (ONE, KElem.of(2, 0)))),
+                ("rescaled-w", Monomial((0, 1), (KElem.of(2, 0),) * 2)),
+            ):
+                add(name, {**plain, g: (g, (mono,) + plain[g][1][1:])})
+            add("wrong-perm", {**plain, g: (pmul(g, group.generators[0]), plain[g][1])})
+    for m in (M2, M3):
+        for name, mono in (("identity", identity_monomial(2)), ("swap", SWAP)):
+            group, datum = block_swap(mono)
+            cases.append((f"block-swap-{name}@{m}", swapped_blocks(m), group, datum))
+        for p in (2, 3):
+            group, datum = rotation(p)
+            base = LocalBase((hereditary_staircase((1, 1), ZZ, m),))
+            cases.append((f"rotation{p}@{m}", base, group, datum))
+        # the trivial group has no generators: only the pair (e, e) sees
+        # the wrap by tau(e, e) = 2, a unit at (3) only
+        group = cyclic_group(1)
+        e = group.identity
+        datum = CrossedProductDatum({e: ((0,), (identity_monomial(2),))}, {(e, e): KElem.of(2, 0)})
+        cases.append((f"trivial-group@{m}", base, group, datum))
+    return cases
+
+
+CROSSED_CASES = crossed_cases()
+
+
+class TestGeneratorChecks:
+    @pytest.mark.parametrize(
+        "base, group, datum", [c[1:] for c in CROSSED_CASES], ids=[c[0] for c in CROSSED_CASES]
+    )
+    def test_agrees_with_the_checks_on_every_pair(self, base, group, datum):
+        expected = naive_crossed_product(base, group, datum)
+        if expected is None:
+            with pytest.raises(ActionDoesNotNormalize):
+                construct_crossed_product(base, group, datum)
+            return
+        order = construct_crossed_product(base, group, datum)
+        assert validate_strong_grading(order)[0]
+        assert order.components == expected.components
+        els = group.elements
+        assert all(order.gamma_at(g, h) == expected.gamma_at(g, h) for g in els for h in els)
+        assert all(any(c != ONE for c in vals) for vals in order.gamma.values())
+
+    def test_cases_reach_both_outcomes(self):
+        # the equivalence above is tested in both directions: each tampered
+        # family is rejected, each sound one accepted, and a rotation by p
+        # normalizes the staircase only at the place over p
+        outcomes = {}
+        for name, base, group, datum in CROSSED_CASES:
+            family = name.split("-", 1)[1] if name.startswith("S") else name.split("@")[0]
+            accepted = naive_crossed_product(base, group, datum) is not None
+            outcomes.setdefault(family, set()).add(accepted)
+        for family in ("trivial", "coboundary", "rescaled-w", "gauss-units"):
+            assert outcomes[family] == {True}, family
+        for family in ("swap", "wrong-w", "wrong-perm", "valued"):
+            assert outcomes[family] == {False}, family
+        assert outcomes["block-swap-identity"] == {False}
+        for family in ("rotation2", "rotation3", "gauss", "trivial-group"):
+            assert outcomes[family] == {True, False}, family
+
+    def test_coboundary_equals_the_naive_product(self):
+        s4 = symmetric_group(4)
+        rng = random.Random(4)
+        values = [ONE, -ONE, KElem.of(2, 3), KElem.of(1, 1), KElem.of(0, 1)]
+        for mu in (
+            {g: rng.choice(values) for g in s4.elements},
+            {g: KElem.of(i + 1, 2) for i, g in enumerate(s4.elements)},
+            {},
+        ):
+            naive = {
+                (g, h): mu.get(g, ONE) * mu.get(h, ONE) * mu.get(pmul(g, h), ONE).inverse()
+                for g in s4.elements
+                for h in s4.elements
+            }
+            assert coboundary_cocycle(s4, mu) == naive
+
+    def test_s6_verdict(self):
+        delta = hereditary_staircase((1, 1), ZZ, M2)
+        order = trivial_crossed(delta, symmetric_group(6))
+        assert order.gamma == {}
+        v = main_hereditary_verdict(order)
+        assert (v.hereditary, v.delta_hereditary) == (False, True)
+        breakdown = [(e.prime, str(e.place), e.inner_witness) for e in v.breakdown]
+        assert breakdown == [(2, "(2)", (0, 1, 2, 3, 5, 4))]

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedorders.groups import (
+    ActionError,
     FiniteGroup,
     GroupAction,
     GroupError,
     all_sylow_subgroups,
+    cayley_table,
     conjugate_subgroup,
     cyclic_group,
     group_from_json,
@@ -105,6 +107,21 @@ class TestSylow:
         assert normalizer(s3, p3).order == 6  # A_3 is normal in S_3
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(4),
+        cyclic_group(1),
+        cyclic_group(6),
+        FiniteGroup(5, (perm_from_cycles("(1 2)(3 4 5)", 5),)),
+    ],
+    ids=["S4", "C1", "C6", "C6-in-S5"],
+)
+def test_cayley_table_is_the_product(group):
+    els = group.elements
+    assert cayley_table(group) == [[els.index(pmul(g, h)) for h in els] for g in els]
+
+
 class TestActions:
     def test_natural_action_orbits(self):
         g = symmetric_group(3)
@@ -124,6 +141,19 @@ class TestActions:
         bad = GroupAction(g, 2, lambda p, x: 0)  # not a bijection per element
         with pytest.raises(GroupError):
             bad.validate()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_action_wrong_at_one_non_generator_rejected(self, n):
+        g = symmetric_group(n)
+        bad = next(x for x in reversed(g.elements) if x not in g.generators)
+        wrong = pmul(bad, perm_from_cycles("(1 2)", n))
+
+        def mapping(x, point):
+            return (wrong if x == bad else x)[point]
+
+        GroupAction(g, n, lambda x, point: x[point]).validate()
+        with pytest.raises(ActionError, match="incompatible pair"):
+            GroupAction(g, n, mapping).validate()
 
     def test_intransitive(self):
         g = FiniteGroup(4, (perm_from_cycles("(1 2)", 4),))
