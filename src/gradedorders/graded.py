@@ -34,7 +34,6 @@ from .base_rings import (
 from .groups import (
     FiniteGroup,
     Perm,
-    cayley_table,
     cyclic_group,
     identity_perm,
     pinv,
@@ -405,21 +404,21 @@ def coboundary_cocycle(
     group: FiniteGroup, mu: Mapping[Perm, KElem]
 ) -> dict[tuple[Perm, Perm], KElem]:
     """The 2-cocycle tau(g,h) = mu(g) mu(h) mu(gh)^-1; always satisfies the
-    cocycle identity.  The distinct values of mu are numbered and inverted
-    once, and each product of numbered values is formed once."""
+    cocycle identity.  The distinct values of mu are numbered, and each
+    distinct triple of numbers is multiplied out once."""
     els = group.elements
     values: dict[KElem, int] = {}
-    numbers = [values.setdefault(mu.get(g, KONE), len(values)) for g in els]
+    number = {g: values.setdefault(mu.get(g, KONE), len(values)) for g in els}
     scalars = list(values)
-    inverses = [x.inverse() for x in scalars]
     products: dict[tuple[int, int, int], KElem] = {}
     out = {}
-    for g, a, row in zip(els, numbers, cayley_table(group)):
-        for h, b, gh in zip(els, numbers, row):
-            key = (a, b, numbers[gh])
+    for g in els:
+        a = number[g]
+        for h in els:
+            key = (a, number[h], number[pmul(g, h)])
             tau = products.get(key)
             if tau is None:
-                tau = products[key] = scalars[a] * scalars[b] * inverses[key[2]]
+                tau = products[key] = scalars[a] * scalars[key[1]] / scalars[key[2]]
             out[(g, h)] = tau
     return out
 
@@ -462,6 +461,7 @@ def construct_crossed_product(
                 )
             if len(monos[i].perm) != sizes[i]:
                 raise ActionDoesNotNormalize("monomial size mismatch")
+    comps = {g: _delta_times_monomial(base, ws[g]) for g in els}
     ones = all(c == KONE for _, monos in ws.values() for mono in monos for c in mono.scalars)
     steps = sorted({group.identity, *group.generators})
     for s in steps:
@@ -484,10 +484,11 @@ def construct_crossed_product(
                 vals = tuple(tau / b for b in beta)
                 if any(v != KONE for v in vals):
                     gamma[(g, h)] = vals
-    comps = {g: _delta_times_monomial(base, ws[g]) for g in els}
     order = GradedOrder(group, base, comps, gamma)
-    ok, witness = validate_strong_grading(order, steps)
-    if not ok:
+    if not validate_strong_grading(order, steps)[0]:
+        # name the first failing pair in element order, as the check of
+        # every pair does
+        witness = validate_strong_grading(order)[1]
         raise ActionDoesNotNormalize(
             f"action does not normalize the order: failure at {witness[:2]}"
         )
@@ -504,7 +505,8 @@ def _check_cocycle(group: FiniteGroup, datum: CrossedProductDatum) -> None:
     if datum.cocycle is None:
         return  # tau == 1 satisfies the identity
     els = group.elements
-    cayley = cayley_table(group)
+    index = {g: i for i, g in enumerate(els)}
+    cayley = [[index[pmul(g, h)] for h in els] for g in els]
     values: dict[KElem, int] = {}
     tau = [[values.setdefault(datum.tau(g, h), len(values)) for h in els] for g in els]
     numbers: dict[KElem, int] = {}

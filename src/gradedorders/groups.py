@@ -154,26 +154,6 @@ class FiniteGroup:
         return FiniteGroup(self.degree, gens)
 
 
-def cayley_table(group: FiniteGroup) -> list[list[int]]:
-    """table[i][j] is the index of elements[i] * elements[j].  Row i is
-    where left multiplication by elements[i] sends each index, so the row
-    of g * s is the row of g read through the row of s: along a spanning
-    tree from the identity, only the generators' rows multiply
-    permutations."""
-    els = group.elements
-    index = {g: i for i, g in enumerate(els)}
-    gens = [(index[s], [index[pmul(s, h)] for h in els]) for s in group.generators]
-    rows = {index[group.identity]: list(range(len(els)))}
-    todo = list(rows.values())
-    while todo:
-        row = todo.pop()
-        for s, row_s in gens:
-            if row[s] not in rows:
-                rows[row[s]] = new = [row[k] for k in row_s]
-                todo.append(new)
-    return [rows[i] for i in range(len(els))]
-
-
 def symmetric_group(n: int) -> FiniteGroup:
     if n <= 1:
         return FiniteGroup(max(n, 1), ())
@@ -271,20 +251,28 @@ class GroupAction:
         g and every generator s.  That covers every pair (g, h): by
         induction on the length of h as a word in the generators,
         x.(ghs) == (x.(gh)).s == ((x.g).h).s == (x.g).(hs), starting from
-        x.(ge) == x.g == (x.g).e."""
+        x.(ge) == x.g == (x.g).e.  A failure is reported at the first
+        failing (g, h, x) over all pairs, in element order."""
         e = self.group.identity
         for x in range(self.set_size):
             if self.mapping(e, x) != x:
                 raise ActionError(f"identity moves point {x}")
+        if self._first_failure(self.group.generators) is not None:
+            g, h, x = self._first_failure(self.group.elements)
+            raise ActionError(
+                f"incompatible pair (g={perm_to_cycles(g)}, "
+                f"h={perm_to_cycles(h)}) at point {x}"
+            )
+
+    def _first_failure(self, rights: tuple[Perm, ...]) -> tuple[Perm, Perm, int] | None:
+        """The first (g, h, x) with h in rights and x.(gh) != (x.g).h."""
         for g in self.group.elements:
-            for s in self.group.generators:
-                gs = pmul(g, s)
+            for h in rights:
+                gh = pmul(g, h)
                 for x in range(self.set_size):
-                    if self.mapping(gs, x) != self.mapping(s, self.mapping(g, x)):
-                        raise ActionError(
-                            f"incompatible pair (g={perm_to_cycles(g)}, "
-                            f"h={perm_to_cycles(s)}) at point {x}"
-                        )
+                    if self.mapping(gh, x) != self.mapping(h, self.mapping(g, x)):
+                        return g, h, x
+        return None
 
 
 @dataclass(frozen=True)

@@ -487,7 +487,8 @@ def block_scalar_quotient(a, b, ab, sizes):
 def naive_crossed_product(base, group, datum):
     """The crossed product by the checks on every pair of grades, written
     out on whole matrices: w_g w_h == beta(g,h) w_gh at every pair, then
-    the full validate_strong_grading.  None where they reject the datum."""
+    the full validate_strong_grading.  Where they reject the datum, raises
+    ActionDoesNotNormalize naming the first failing pair in element order."""
     els = group.elements
     sizes = [blk.n for blk in base.blocks]
     rows = {g: flat_rows(datum.action[g], sizes) for g in els}
@@ -496,7 +497,7 @@ def naive_crossed_product(base, group, datum):
         for h in els:
             beta = block_scalar_quotient(rows[g], rows[h], rows[pmul(g, h)], sizes)
             if beta is None:
-                return None
+                raise ActionDoesNotNormalize("action is not a homomorphism up to central scalars")
             gamma[(g, h)] = tuple(datum.tau(g, h) / b for b in beta)
     comps = {}
     for g in els:
@@ -512,7 +513,18 @@ def naive_crossed_product(base, group, datum):
             mats.append(tuple(map(tuple, mat)))
         comps[g] = LocalComponent(tuple(bperm), tuple(mats))
     order = GradedOrder(group, base, comps, gamma)
-    return order if validate_strong_grading(order)[0] else None
+    ok, witness = validate_strong_grading(order)
+    if not ok:
+        raise ActionDoesNotNormalize(f"action does not normalize the order: failure at {witness[:2]}")
+    return order
+
+
+def naive_accepts(base, group, datum):
+    try:
+        naive_crossed_product(base, group, datum)
+    except ActionDoesNotNormalize:
+        return False
+    return True
 
 
 def sign(g):
@@ -597,10 +609,12 @@ class TestGeneratorChecks:
         "base, group, datum", [c[1:] for c in CROSSED_CASES], ids=[c[0] for c in CROSSED_CASES]
     )
     def test_agrees_with_the_checks_on_every_pair(self, base, group, datum):
-        expected = naive_crossed_product(base, group, datum)
-        if expected is None:
-            with pytest.raises(ActionDoesNotNormalize):
+        try:
+            expected = naive_crossed_product(base, group, datum)
+        except ActionDoesNotNormalize as naive:
+            with pytest.raises(ActionDoesNotNormalize) as err:
                 construct_crossed_product(base, group, datum)
+            assert str(err.value) == str(naive)
             return
         order = construct_crossed_product(base, group, datum)
         assert validate_strong_grading(order)[0]
@@ -616,7 +630,7 @@ class TestGeneratorChecks:
         outcomes = {}
         for name, base, group, datum in CROSSED_CASES:
             family = name.split("-", 1)[1] if name.startswith("S") else name.split("@")[0]
-            accepted = naive_crossed_product(base, group, datum) is not None
+            accepted = naive_accepts(base, group, datum)
             outcomes.setdefault(family, set()).add(accepted)
         for family in ("trivial", "coboundary", "rescaled-w", "gauss-units"):
             assert outcomes[family] == {True}, family
@@ -625,6 +639,17 @@ class TestGeneratorChecks:
         assert outcomes["block-swap-identity"] == {False}
         for family in ("rotation2", "rotation3", "gauss", "trivial-group"):
             assert outcomes[family] == {True, False}, family
+
+    def test_zero_scalar_is_refused_before_the_checks(self):
+        delta = hereditary_staircase((1, 1), ZZ, M2)
+        c2 = cyclic_group(2)
+        g = next(x for x in c2.elements if x != c2.identity)
+        action = {
+            c2.identity: ((0,), (identity_monomial(2),)),
+            g: ((0,), (Monomial((1, 0), (KElem.of(0), ONE)),)),
+        }
+        with pytest.raises(RingError, match="valuation of zero"):
+            construct_crossed_product(LocalBase((delta,)), c2, CrossedProductDatum(action))
 
     def test_coboundary_equals_the_naive_product(self):
         s4 = symmetric_group(4)
