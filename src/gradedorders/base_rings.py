@@ -1,5 +1,5 @@
-"""Exact arithmetic over Z and Z[i]: Gaussian integers, maximal ideals,
-prime splitting, valuations and fractional ideals.
+"""Exact arithmetic over Z and Z[i]: Gaussian integers, integer factoring,
+maximal ideals, prime splitting, valuations and fractional ideals.
 
 Both supported base rings are principal ideal domains.  Ideals are kept in
 factored form (maximal ideal -> exponent) and can always produce a
@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from sympy import factorint, sqrt_mod
-
 RING_Z = "Z"
 RING_ZI = "Zi"
 
@@ -27,12 +25,13 @@ RING_ZI = "Zi"
 # largest valuation magnitude accepted from input: exact scalars are
 # uniformizer powers, and their size grows with it
 MAX_EXPONENT = 10**6
-# largest norm factored: SymPy's factorint needs up to about half a second
-# below it, seconds at 40 digits and longer past them, so ideal generators
-# and primes read from input are bounded by their norm
+# largest norm factored: Pollard-Brent time grows with the square root of
+# the smallest prime factor, up to about 0.15 s below this bound (worst of
+# 50 products of two 32-bit primes), so ideal generators and primes read
+# from input are bounded by their norm
 MAX_NORM = 2**64
 # most generators of norm above LARGE_NORM that one input may hold: factoring
-# one takes milliseconds below it and up to about half a second above it
+# one takes under a millisecond below it and up to about 0.15 s above it
 LARGE_NORM = 2**32
 MAX_LARGE_GENERATORS = 8
 
@@ -300,6 +299,102 @@ KONE = _make(1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
+# Factoring integers up to MAX_NORM
+
+# the first twelve primes: divided out first, and as Miller-Rabin bases they
+# decide primality exactly below 3.3 * 10**24 (Sorenson and Webster 2017),
+# far above MAX_NORM
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Deterministic primality of n, exact for n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of a composite n with no factor among _SMALL_PRIMES:
+    Brent's cycle-finding variant of Pollard's rho (BIT 20, 1980), with the
+    gcd taken once per batch of steps.  The start is fixed, so the divisor
+    found is deterministic."""
+    batch = 128
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The prime factorisation {p: e} of an integer n >= 1, primes in
+    increasing order; exact for n < 3.3 * 10**24."""
+    if n < 1:
+        raise RingError(f"cannot factor {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _miller_rabin(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            rest += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """The smaller square root of -1 modulo a prime p = 1 (mod 4):
+    c**((p - 1) / 4) for the least quadratic non-residue c."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    r = pow(c, (p - 1) // 4, p)
+    return min(r, p - r)
+
+
+# ---------------------------------------------------------------------------
 # Rings and maximal ideals
 
 
@@ -360,10 +455,9 @@ def _factor(norm: int) -> dict[int, int]:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = _factor(p)
-    return len(f) == 1 and list(f.values()) == [1]
+    if p > MAX_NORM:
+        raise RingError(f"norm {p} exceeds cap 2**64")
+    return _miller_rabin(p)
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +469,7 @@ def _factor_prime_cached(kind: str, p: int) -> tuple[tuple[MaximalIdeal, int], .
     if p % 4 == 3:
         return ((MaximalIdeal(RING_ZI, p, 0, p, p * p), 1),)
     # split case: p = (a+bi)(a-bi)
-    r = sqrt_mod(-1, p)
+    r = _sqrt_minus_one(p)
     g = gaussian_gcd(GaussianInt(p, 0), GaussianInt(r, 1))
     g2 = g.conj().normalized()
     ms = sorted(

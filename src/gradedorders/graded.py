@@ -26,6 +26,7 @@ from .base_rings import (
     KONE,
     MaximalIdeal,
     check_place,
+    factorint,
     is_principal,
     kelem_valuation,
     maximal_ideals_above,
@@ -706,12 +707,6 @@ def _places_containing(order: GradedOrder, p: int) -> list[MaximalIdeal]:
     return [m for m in places if not order.is_local or m == order.base.place]
 
 
-def _group_prime_divisors(n: int) -> list[int]:
-    from sympy import factorint
-
-    return sorted(int(p) for p in factorint(n))
-
-
 def prime_hereditary_verdict(
     order: GradedOrder,
     sylow_choice: Mapping[int, FiniteGroup] | None = None,
@@ -725,7 +720,7 @@ def prime_hereditary_verdict(
     delta_ok = _delta_hereditary(order)
     breakdown = []
     all_outer = True
-    for p in _group_prime_divisors(order.group.order):
+    for p in factorint(order.group.order):  # primes in increasing order
         syl = sylow_choice.get(p) if sylow_choice else None
         # a choice made for a larger group (e.g. before passing to an
         # orbit corner) only applies when it lives inside this group

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
+from .base_rings import _is_prime
+
 MAX_GROUP_ORDER = 10_080
 # largest permutation degree accepted from input: a group holds up to
 # MAX_GROUP_ORDER permutations of this length
@@ -196,9 +198,7 @@ def _p_part(n: int, p: int) -> int:
 def sylow_subgroup(group: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, deterministically the one with lexicographically
     least sorted element list among all conjugates."""
-    from sympy import isprime
-
-    if not isprime(p):
+    if not _is_prime(p):
         raise GroupError(f"{p} is not prime")
     target = _p_part(group.order, p)
     sub = FiniteGroup(group.degree, ())

@@ -1,13 +1,16 @@
 import copy
 import math
 import pickle
+import random
 
 import pytest
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradedorders import base_rings
 from gradedorders.base_rings import (
     ZZ,
     ZI,
@@ -17,6 +20,7 @@ from gradedorders.base_rings import (
     RingError,
     element_valuation,
     factor_rational_prime,
+    factorint,
     ideal_from_json,
     ideal_to_json,
     is_principal,
@@ -81,6 +85,58 @@ class TestSplitting:
     def test_rational_places(self):
         (m,) = maximal_ideals_above(ZZ, 7)
         assert m.residue_char == 7 and m.residue_size == 7
+
+
+def reference_places(p):
+    """The places of Z[i] above the prime p as (generator, residue size,
+    ramification), read off from p as a sum of two squares."""
+    if p == 2:
+        return [((1, 1), 2, 2)]
+    if p % 4 == 3:
+        return [((p, 0), p * p, 1)]
+    squares = [(a, math.isqrt(p - a * a)) for a in range(1, math.isqrt(p) + 1)]
+    return [((a, b), p, 1) for a, b in squares if b > 0 and a * a + b * b == p]
+
+
+def factoring_sample():
+    """1, the ends of the MAX_NORM range, prime powers, Carmichael numbers,
+    a strong pseudoprime to the bases 2..23, and seeded random integers and
+    products of two 32-bit primes, all at most 2**64.  Cubes of primes near
+    2**32 lie above 2**64, so only their squares are included."""
+    near = [sympy.prevprime(2**21), sympy.nextprime(2**21), sympy.prevprime(2**32)]
+    rng = random.Random(2024)
+    sample = [1, 2**64, 2**64 - 59, 561, 41041, 825265, 3825123056546413051]
+    sample += [q**2 for q in near] + [q**3 for q in near[:2]]
+    sample += [rng.randrange(1, 2**64) for _ in range(200)]
+    # 2**32 - 5 is the largest prime below 2**32
+    primes = [sympy.nextprime(rng.randrange(2**31, 2**32 - 5)) for _ in range(20)]
+    sample += [q * r for q, r in zip(primes[::2], primes[1::2])]
+    return sample
+
+
+class TestFactoring:
+    # SymPy is the reference; the package itself does not import it
+    @pytest.mark.parametrize("n", factoring_sample())
+    def test_factorint_and_is_prime_match_sympy(self, n):
+        assert factorint(n) == sympy.factorint(n)
+        assert list(factorint(n)) == sorted(factorint(n))
+        assert base_rings._is_prime(n) == sympy.isprime(n)
+
+    def test_factorint_refuses_non_positive(self):
+        for n in (0, -6):
+            with pytest.raises(RingError, match=f"^cannot factor {n}$"):
+                factorint(n)
+
+    def test_is_prime_keeps_the_norm_cap(self):
+        with pytest.raises(RingError, match=r"^norm 18446744073709551617 exceeds cap 2\*\*64$"):
+            base_rings._is_prime(2**64 + 1)
+
+    def test_places_of_every_prime_below_10_to_the_4(self):
+        for p in sympy.primerange(2, 10**4):
+            got = [((m.gen_re, m.gen_im), m.residue_size, e) for m, e in factor_rational_prime(ZI, p)]
+            assert got == reference_places(p), p
+            if p % 4 == 1:
+                assert base_rings._sqrt_minus_one(p) == sympy.sqrt_mod(-1, p)
 
 
 class TestValuation:

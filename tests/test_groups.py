@@ -100,6 +100,11 @@ class TestSylow:
         s3 = symmetric_group(3)
         assert sylow_subgroup(s3, 5).order == 1
 
+    @pytest.mark.parametrize("p", [4, 1, 0, -3])
+    def test_sylow_needs_a_prime(self, p):
+        with pytest.raises(GroupError, match=f"^{p} is not prime$"):
+            sylow_subgroup(symmetric_group(4), p)
+
     def test_normalizer(self):
         s3 = symmetric_group(3)
         p3 = sylow_subgroup(s3, 3)

@@ -1,6 +1,9 @@
 """Source-level rules for the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import gradedorders
@@ -18,12 +21,11 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_fractions_only_in_base_rings():
-    # exact scalars are integer triples (base_rings.KElem); Fraction
-    # arithmetic anywhere else would bring the slow path back
+def imports_of(package: str, skip: str = "") -> list[str]:
+    """Where package modules other than skip import the named package."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name == "base_rings.py":
+        if path.name == skip:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -33,9 +35,35 @@ def test_fractions_only_in_base_rings():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "fractions" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 found.append(f"{path.name}:{node.lineno}")
-    assert found == []
+    return found
+
+
+def test_fractions_only_in_base_rings():
+    # exact scalars are integer triples (base_rings.KElem); Fraction
+    # arithmetic anywhere else would bring the slow path back
+    assert imports_of("fractions", skip="base_rings.py") == []
+
+
+def test_no_sympy_imports():
+    # importing SymPy costs more than the rest of the command line together;
+    # the tests keep it as a reference only
+    assert imports_of("sympy") == []
+
+
+def test_cli_runs_without_sympy():
+    # SymPy is a test-only dependency: with its import blocked, the command
+    # line prints the same bytes and exits with the same code
+    def run(prelude):
+        code = f"import sys\n{prelude}from gradedorders.cli import main\nsys.exit(main(['example', 'nonbasic', '--json']))"
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    normal = run("")
+    assert normal[1].startswith(b"{")
+    assert run("sys.modules['sympy'] = None\n") == normal
 
 
 def test_float64_only_in_exact_matmul():
