@@ -33,7 +33,6 @@ from .graded import (
     construct_from_pic,
     graded_order,
     inner_classification,
-    prime_hereditary_verdict,
     validate_strong_grading,
 )
 from .pic import picent_global, picent_local
@@ -64,7 +63,6 @@ __all__ = [
     "construct_from_pic",
     "graded_order",
     "inner_classification",
-    "prime_hereditary_verdict",
     "validate_strong_grading",
     "picent_global",
     "picent_local",

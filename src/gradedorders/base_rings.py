@@ -126,19 +126,24 @@ def parse_gaussian(s: str) -> GaussianInt:
     import re as _re
 
     s = s.strip().replace(" ", "")
-    m = _re.fullmatch(r"(?:([+-]?\d+)(?!\d*i))?(([+-]?\d*)i)?", s)
+    # the real part is a whole digit run not followed by i; a lookahead of
+    # one character keeps the match linear in the length of s
+    m = _re.fullmatch(r"(?:([+-]?\d+)(?![\di]))?(([+-]?\d*)i)?", s)
     if not m or (m.group(1) is None and m.group(2) is None):
         raise RingError(f"cannot parse Gaussian integer: {s!r}")
-    re_part = int(m.group(1)) if m.group(1) else 0
-    im_part = 0
-    if m.group(2) is not None:
-        raw = m.group(3)
-        if raw in ("", "+"):
-            im_part = 1
-        elif raw == "-":
-            im_part = -1
-        else:
-            im_part = int(raw)
+    try:
+        re_part = int(m.group(1)) if m.group(1) else 0
+        im_part = 0
+        if m.group(2) is not None:
+            raw = m.group(3)
+            if raw in ("", "+"):
+                im_part = 1
+            elif raw == "-":
+                im_part = -1
+            else:
+                im_part = int(raw)
+    except ValueError:  # a numeral past the interpreter's digit limit
+        raise RingError(f"cannot parse Gaussian integer: too long ({len(s)} characters)") from None
     return GaussianInt(re_part, im_part)
 
 
@@ -491,9 +496,8 @@ def maximal_ideals_above(ring: BaseRing, p: int) -> list[MaximalIdeal]:
     return [m for m, _ in factor_rational_prime(ring, p)]
 
 
-def element_valuation(ring_kind: str, z: GaussianInt, m: MaximalIdeal) -> int:
-    """Exponent of m in the factorization of the nonzero element z of the
-    ring of kind ring_kind."""
+def element_valuation(z: GaussianInt, m: MaximalIdeal) -> int:
+    """Exponent of m in the factorization of the nonzero element z."""
     if z.is_zero():
         raise RingError("valuation of zero")
     return _valuation(z.re, z.im, m)
@@ -566,7 +570,7 @@ class FractionalIdealR:
         fac: dict[MaximalIdeal, int] = {}
         for p in _factor(_norm(ring, z)):
             for m in maximal_ideals_above(ring, int(p)):
-                e = element_valuation(ring.kind, z, m)
+                e = element_valuation(z, m)
                 if e:
                     fac[m] = e
         return FractionalIdealR.from_factors(ring, fac)
@@ -595,9 +599,6 @@ class FractionalIdealR:
         fac = {m: min(a.get(m, 0), b.get(m, 0)) for m in set(a) | set(b)}
         return FractionalIdealR.from_factors(BaseRing(self.ring_kind), fac)
 
-    def inverse(self) -> FractionalIdealR:
-        return self ** (-1)
-
     def support(self) -> list[MaximalIdeal]:
         return [m for m, _ in self.factors]
 
@@ -607,13 +608,13 @@ def valuation(ideal: FractionalIdealR, m: MaximalIdeal) -> int:
     return ideal.as_dict().get(m, 0)
 
 
-def is_principal(ideal: FractionalIdealR) -> tuple[bool, KElem]:
-    """Both supported rings are PIDs, so this always succeeds; returns the
-    normalized generator as a quotient-field element."""
+def principal_generator(ideal: FractionalIdealR) -> KElem:
+    """The normalized generator, as a quotient-field element: both
+    supported rings are PIDs, so every fractional ideal is principal."""
     gen = KONE
     for m, e in ideal.factors:
         gen = gen * (KElem.from_gaussian(m.generator) ** e)
-    return True, normalize_scalar(BaseRing(ideal.ring_kind), gen)
+    return normalize_scalar(BaseRing(ideal.ring_kind), gen)
 
 
 def normalize_scalar(ring: BaseRing, x: KElem) -> KElem:

@@ -37,6 +37,7 @@ from .graded import (
     GradedOrder,
     CrossedProductDatum,
     Monomial,
+    block_corner_graded_order,
     construct_crossed_product,
     construct_from_pic,
     corner_graded_order,
@@ -233,8 +234,11 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
             raise InputError(f"components: {key} needs 'entries' or 'mats'")
         if not isinstance(mats, list):
             raise InputError(f"components: {key}: expected a list of matrices")
+        perm = cobj.get("perm", [0])
+        if not isinstance(perm, list) or not all(_is_int(i) for i in perm):
+            raise InputError(f"components: {key}: expected 'perm' to be a list of integers")
         comps[g] = LocalComponent(
-            tuple(cobj.get("perm", [0])),
+            tuple(perm),
             tuple(tuple(map(tuple, _matrix(mat, "components", exponents=True))) for mat in mats),
         )
     gamma = {}
@@ -489,11 +493,11 @@ def _assertions_semiprime(raw, d: int):
     raw["group"] = {"degree": d, "gens": [perm_to_cycles(p) for p in g.generators]}
     order = parse_graded(raw)
     yield "strongly graded", validate_strong_grading(order)[0]
-    corners = orbit_decompose(order)
-    yield "one orbit", len(corners) == 1
-    stab = corners[0].data.stabilizer
+    orbits = orbit_decompose(order)
+    yield "one orbit", len(orbits) == 1
+    stab = orbits[0].stabilizer
     yield f"stabilizer = S_{d-1}", stab.order == symmetric_group(d - 1).order
-    corner = corners[0].corner
+    corner = block_corner_graded_order(order, orbits[0].representative, stab)
     yield "corner is the stabilizer group ring", all(
         corner.components[h].mats[0] == corner.base.blocks[0].entries
         for h in stab.elements

@@ -11,7 +11,7 @@ coordinate.
 
 from __future__ import annotations
 
-from .base_rings import RING_Z, RING_ZI, GaussianInt, KElem, MaximalIdeal, RingError, element_valuation
+from .base_rings import RING_Z, GaussianInt, KElem, MaximalIdeal, RingError, element_valuation
 
 
 def _cancel(x: KElem, m: MaximalIdeal) -> tuple[GaussianInt, GaussianInt]:
@@ -19,7 +19,7 @@ def _cancel(x: KElem, m: MaximalIdeal) -> tuple[GaussianInt, GaussianInt]:
     num, d = x.as_int_pair()
     den = GaussianInt(d, 0)
     g = m.generator
-    for _ in range(element_valuation(RING_ZI, den, m)):
+    for _ in range(element_valuation(den, m)):
         num = num.exact_div(g)
         den = den.exact_div(g)
     return num, den

@@ -10,7 +10,8 @@ components equals the component of the product grade exactly.
 All grade bookkeeping is exact.  The engine runs on local data only: a
 global graded order is its group and gamma plus the local graded order at
 each place of the finite support of its data, and is maximal, with zero
-exponents, at every other place.
+exponents, at every other place.  The hereditariness verdict that reads
+these orders is in ``semiprime``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .base_rings import (
     KONE,
     MaximalIdeal,
     check_place,
-    factorint,
-    is_principal,
     kelem_valuation,
-    maximal_ideals_above,
     place_key,
+    principal_generator,
 )
 from .groups import (
     FiniteGroup,
@@ -39,7 +38,6 @@ from .groups import (
     identity_perm,
     pinv,
     pmul,
-    sylow_subgroup,
 )
 from .tiled import (
     ExponentMatrix,
@@ -235,12 +233,17 @@ def validate_strong_grading(order: GradedOrder, lefts: Iterable[Perm] | None = N
             raise GradedError("component map is not total on the group")
         sizes = _block_sizes(local.base)
         for comp in local.components.values():
+            if len(comp.mats) != t:
+                raise GradedError(f"a component has {len(comp.mats)} blocks, expected {t}")
             if sorted(comp.perm) != list(range(t)):
                 raise GradedError("component block permutation is invalid")
             for i in range(t):
                 mat = comp.mats[i]
                 if len(mat) != sizes[i] or any(len(r) != sizes[comp.perm[i]] for r in mat):
                     raise GradedError("component block has wrong shape")
+    for vals in order.gamma.values():
+        if len(vals) != order.base.t:
+            raise GradedError(f"a gamma value has {len(vals)} scalars, expected {order.base.t}")
     numbers = {tuple(KONE for _ in range(order.base.t)): 0}
     index = {pair: numbers.setdefault(vals, len(numbers)) for pair, vals in order.gamma.items()}
     gammas = list(numbers)
@@ -361,8 +364,7 @@ def _scalar_quotient(
         if s is None:
             return None
         shifts[lam.place] = s
-    _, gen = is_principal(FractionalIdealR.from_factors(ring, shifts))
-    return gen
+    return principal_generator(FractionalIdealR.from_factors(ring, shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +589,11 @@ class InnerClassification:
         return len(self.inner_elements) == 1
 
 
-def _component_trivial_local(
-    base: LocalBase, comp: LocalComponent
-) -> bool:
-    if comp.perm != identity_perm(base.t):
-        return False
-    for blk, mat in zip(base.blocks, comp.mats):
-        if constant_shift_of(mat, blk.entries) is None:
-            return False
-    return True
+def _shift_on_block(local: GradedOrder, g: Perm, block: int) -> bool:
+    """Whether the given block of the component of g is a constant shift
+    of that block of the identity component, in a local graded order."""
+    mat = local.components[g].mats[block]
+    return constant_shift_of(mat, local.base.blocks[block].entries) is not None
 
 
 def component_is_inner(order: GradedOrder, g: Perm) -> bool:
@@ -604,17 +602,30 @@ def component_is_inner(order: GradedOrder, g: Perm) -> bool:
     ``order.localize(m)``).  Over the PID bases a consistent family of
     local shifts always lifts to one global scalar."""
     return all(
-        _component_trivial_local(local.base, local.components[g])
+        local.components[g].perm == identity_perm(local.base.t)
+        and all(_shift_on_block(local, g, b) for b in range(local.base.t))
         for local in order.local_orders()
     )
 
 
-def inner_classification(order: GradedOrder, subgroup: FiniteGroup) -> InnerClassification:
-    inner = tuple(h for h in subgroup.elements if component_is_inner(order, h))
-    ctx = f"at {order.base.place}" if order.is_local else "global"
+def _inner_elements(subgroup: FiniteGroup, is_inner) -> tuple[Perm, ...]:
+    inner = tuple(h for h in subgroup.elements if is_inner(h))
     if {pmul(a, b) for a in inner for b in inner} != set(inner):
         raise GradedError("inner elements do not form a subgroup")
+    return inner
+
+
+def inner_classification(order: GradedOrder, subgroup: FiniteGroup) -> InnerClassification:
+    inner = _inner_elements(subgroup, lambda h: component_is_inner(order, h))
+    ctx = f"at {order.base.place}" if order.is_local else "global"
     return InnerClassification(subgroup, inner, ctx)
+
+
+def block_inner_elements(local: GradedOrder, subgroup: FiniteGroup, block: int) -> tuple[Perm, ...]:
+    """The elements of a subgroup stabilizing the block whose component is
+    inner on that block of the local order: the inner elements of the
+    block's corner, graded by the subgroup, read off the order itself."""
+    return _inner_elements(subgroup, lambda h: _shift_on_block(local, h, block))
 
 
 # ---------------------------------------------------------------------------
@@ -672,66 +683,3 @@ def block_corner_graded_order(
         if vals[block] != KONE and h1 in members and h2 in members
     }
     return graded_order(subgroup, base, comps, gamma)
-
-
-# ---------------------------------------------------------------------------
-# The prime-case verdict engine
-
-
-@dataclass(frozen=True)
-class VerdictEntry:
-    orbit: int
-    prime: int
-    place: MaximalIdeal
-    sylow: FiniteGroup
-    inner_witness: Perm | None
-
-
-@dataclass(frozen=True)
-class HereditaryVerdict:
-    hereditary: bool
-    delta_hereditary: bool
-    breakdown: tuple[VerdictEntry, ...]
-
-
-def _delta_hereditary(order: GradedOrder) -> bool:
-    return all(
-        is_hereditary_local(blk)
-        for local in order.local_orders()
-        for blk in local.base.blocks
-    )
-
-
-def _places_containing(order: GradedOrder, p: int) -> list[MaximalIdeal]:
-    places = maximal_ideals_above(order.base.ring, p)
-    return [m for m in places if not order.is_local or m == order.base.place]
-
-
-def prime_hereditary_verdict(
-    order: GradedOrder,
-    sylow_choice: Mapping[int, FiniteGroup] | None = None,
-    orbit_index: int = 0,
-) -> HereditaryVerdict:
-    """Hereditary iff the identity component is hereditary and, at every
-    maximal ideal containing a prime divisor p of the group order, the
-    chosen p-Sylow subgroup is outer there."""
-    if not order.is_prime:
-        raise NotPrimeContext("prime verdict needs a prime identity component")
-    delta_ok = _delta_hereditary(order)
-    breakdown = []
-    all_outer = True
-    for p in factorint(order.group.order):  # primes in increasing order
-        syl = sylow_choice.get(p) if sylow_choice else None
-        # a choice made for a larger group (e.g. before passing to an
-        # orbit corner) only applies when it lives inside this group
-        if syl is None or not syl.element_set <= order.group.element_set:
-            syl = sylow_subgroup(order.group, p)
-        for m in _places_containing(order, p):
-            cls = inner_classification(order.localize(m), syl)
-            witness = next(
-                (h for h in cls.inner_elements if h != order.group.identity), None
-            )
-            if witness is not None:
-                all_outer = False
-            breakdown.append(VerdictEntry(orbit_index, p, m, syl, witness))
-    return HereditaryVerdict(delta_ok and all_outer, delta_ok, tuple(breakdown))

@@ -1,6 +1,6 @@
 """Finite permutation groups: closure, subgroups, Sylow subgroups,
-conjugation and actions on finite sets.  A subgroup is itself a
-``FiniteGroup`` of the same degree, named by its generators.
+conjugation, and actions on finite sets with orbits and Schreier
+stabilizers.  A subgroup is a ``FiniteGroup`` named by its generators.
 
 Permutations are tuples of images on {0..degree-1}; the product p * q
 means "apply p, then q", so points are acted on from the right and
@@ -283,20 +283,35 @@ class OrbitData:
 
 
 def orbits_and_stabilizers(action: GroupAction) -> list[OrbitData]:
+    """The orbits in order of their least point, each with the stabilizer
+    of that point.  An orbit is walked along the generators, keeping a
+    transversal u_y with rep.u_y = y; the stabilizer is generated by the
+    Schreier generators u_y s u_(y.s)^-1, for y in the orbit and s a
+    generator, leaving out the identity and repeats (Schreier's lemma;
+    Seress, Permutation Group Algorithms, CUP 2003, section 4.1).  They
+    are taken during the walk: an edge that reaches a new point gives the
+    identity."""
     action.validate()
     g = action.group
-    remaining = set(range(action.set_size))
+    done: set[int] = set()
     out = []
-    while remaining:
-        rep = min(remaining)
-        orbit = sorted({action.mapping(x, rep) for x in g.elements})
-        stab = FiniteGroup(
-            g.degree, tuple(x for x in g.elements if action.mapping(x, rep) == rep)
-        )
-        if len(orbit) * stab.order != g.order:
+    for rep in range(action.set_size):
+        if rep in done:
+            continue
+        transversal, frontier, schreier = {rep: g.identity}, [rep], {}
+        for y in frontier:  # the walk appends to the list it reads
+            for s in g.generators:
+                z, u = action.mapping(s, y), pmul(transversal[y], s)
+                if z not in transversal:
+                    transversal[z] = u
+                    frontier.append(z)
+                elif u != transversal[z]:
+                    schreier.setdefault(pmul(u, pinv(transversal[z])))
+        stab = FiniteGroup(g.degree, tuple(schreier))
+        if len(transversal) * stab.order != g.order:
             raise ActionError("orbit size times stabilizer order is not the group order")
-        out.append(OrbitData(tuple(orbit), rep, stab))
-        remaining -= set(orbit)
+        out.append(OrbitData(tuple(sorted(transversal)), rep, stab))
+        done |= transversal.keys()
     return out
 
 

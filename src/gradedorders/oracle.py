@@ -30,6 +30,7 @@ from .base_rings import KElem, MaximalIdeal
 from .gf import digit_map
 from .graded import GradedOrder
 from .groups import pmul
+from .semiprime import main_hereditary_verdict
 
 # bounds the rank over F_p that the kernels see: the flattened rank, or
 # twice it at an inert place
@@ -594,8 +595,6 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
 
 def oracle_report(order: GradedOrder, m: MaximalIdeal) -> dict:
     """Cross-validation record: oracle verdict vs the structural engine."""
-    from .semiprime import main_hereditary_verdict
-
     A = flatten(order, m)
     oracle = hereditary_oracle(A)
     engine = main_hereditary_verdict(order.localize(m)).hereditary

@@ -27,6 +27,7 @@ from gradedorders.graded import (
     CrossedProductDatum,
     LocalBase,
     Monomial,
+    block_corner_graded_order,
     construct_crossed_product,
     construct_from_pic,
     corner_graded_order,
@@ -175,9 +176,9 @@ def test_criterion_5_symmetric_sum():
     order = trivial_crossed(delta, symmetric_group(3), 3)
     corners = orbit_decompose(order)
     assert len(corners) == 1
-    stab = corners[0].data.stabilizer
+    stab = corners[0].stabilizer
     assert stab.order == 2
-    corner = corners[0].corner
+    corner = block_corner_graded_order(order, corners[0].representative, stab)
     # the corner is the stabilizer group ring over one summand
     assert all(
         corner.components[h].mats[0] == delta.entries for h in stab.elements

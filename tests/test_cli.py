@@ -44,6 +44,45 @@ GLOBAL_SIX = {
 }
 
 
+# S_2 grading the staircase at (2) by the identity bimodule
+C2_EXPLICIT = {
+    "kind": "explicit",
+    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+    "group": {"degree": 2, "gens": ["(1 2)"]},
+    "components": {"(1 2)": {"entries": [[0, 0], [1, 0]]}},
+}
+
+# past the interpreter's limit of 4300 digits for reading an integer
+LONG_NUMERAL = "1" * 5000
+
+
+class TestLongNumerals:
+    def test_prime(self, tmp_path, capsys):
+        spec = {"delta": {"ring": "Z", "prime": LONG_NUMERAL, "staircase": [1, 1]}}
+        code, _, err = run(capsys, "check", write(tmp_path, spec))
+        assert code == 2
+        assert err.startswith("error: prime: cannot parse Gaussian integer: too long (")
+
+    def test_place_option(self, tmp_path, capsys):
+        code, _, err = run(capsys, "classify", write(tmp_path, C2_EXPLICIT), "--place", LONG_NUMERAL)
+        assert code == 2
+        assert err.startswith("error: prime: cannot parse Gaussian integer: too long (")
+
+    def test_ideal_generator(self, tmp_path, capsys):
+        delta = copy.deepcopy(GLOBAL_SIX)
+        delta["entries"][1][0] = {"gen": LONG_NUMERAL}
+        code, _, err = run(capsys, "picent", write(tmp_path, delta))
+        assert code == 2
+        assert err.startswith("error: entries: cannot parse Gaussian integer: too long (")
+
+    def test_gamma_scalar(self, tmp_path, capsys):
+        spec = copy.deepcopy(C2_EXPLICIT)
+        spec["gamma"] = {"(1 2)|(1 2)": [LONG_NUMERAL + "i"]}
+        code, _, err = run(capsys, "check", write(tmp_path, spec))
+        assert code == 2
+        assert err.startswith("error: cannot parse Gaussian integer: too long (")
+
+
 class TestCheck:
     def test_hereditary_exit_zero(self, tmp_path, capsys):
         code, out, _ = run(capsys, "check", write(tmp_path, MAXIMAL_TRIVIAL))
@@ -119,6 +158,10 @@ class TestCheck:
                     "gamma": {"x|y": ["1"]},
                 },
             ),
+            *(
+                ("components", {**C2_EXPLICIT, "components": {"(1 2)": {"entries": [[0, 0], [1, 0]], "perm": perm}}})
+                for perm in (5, None, [False])
+            ),
             ("staircase", {"delta": {"ring": "Z", "prime": "2", "staircase": [1000000, 1]}}),
             (
                 "group.degree",
@@ -154,6 +197,9 @@ class TestCheck:
             "group.gens-trailing",
             "components-key",
             "gamma-key",
+            "components-perm-int",
+            "components-perm-null",
+            "components-perm-bool",
             "staircase-oversize",
             "group.degree-oversize",
             "prime-oversize",
@@ -164,6 +210,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", write(tmp_path, bad))
         assert code == 2
         assert err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("scalars", [[], ["1", "7"]], ids=["empty", "two"])
+    def test_gamma_needs_one_scalar_per_block(self, tmp_path, capsys, scalars):
+        spec = copy.deepcopy(C2_EXPLICIT)
+        spec["gamma"] = {"(1 2)|(1 2)": scalars}
+        code, out, err = run(capsys, "check", write(tmp_path, spec))
+        assert (code, out) == (2, "")
+        assert err == f"error: a gamma value has {len(scalars)} scalars, expected 1\n"
 
     def test_json_report_is_deterministic(self, tmp_path, capsys):
         path = write(tmp_path, MAXIMAL_TRIVIAL)

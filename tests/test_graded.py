@@ -34,7 +34,6 @@ from gradedorders.graded import (
     identity_component,
     inner_classification,
     is_crossed_product,
-    prime_hereditary_verdict,
     validate_strong_grading,
 )
 from gradedorders.groups import (
@@ -299,7 +298,7 @@ class TestVerdict:
     def test_hereditary_rad_grading(self):
         # grading by the full Picent: outer, and delta hereditary
         order = rad_grading((1, 1))
-        v = prime_hereditary_verdict(order)
+        v = main_hereditary_verdict(order)
         assert v.hereditary and v.delta_hereditary
 
     def test_group_ring_at_bad_characteristic(self):
@@ -310,7 +309,7 @@ class TestVerdict:
         base = LocalBase((delta,))
         comps = {g2.elements[1]: identity_component(base)}
         inner_order = graded_order(g2, base, comps)
-        v = prime_hereditary_verdict(inner_order)
+        v = main_hereditary_verdict(inner_order)
         assert not v.hereditary
         assert v.breakdown[0].inner_witness is not None
 
@@ -321,7 +320,7 @@ class TestVerdict:
         base = LocalBase((delta,))
         comps = {g2.elements[1]: identity_component(base)}
         order = graded_order(g2, base, comps)
-        v = prime_hereditary_verdict(order)
+        v = main_hereditary_verdict(order)
         assert v.hereditary
 
     def test_sylow_choice_invariance(self):
@@ -365,6 +364,23 @@ class TestStrongGradingFailure:
         with pytest.raises(StrongGradingFailure) as exc:
             graded_order(order.group, order.base, comps, order.gamma)
         assert exc.value.pair == (g, g)
+
+    @pytest.mark.parametrize("scalars", [(), (ONE, KElem.of(7, 0))], ids=["empty", "two"])
+    def test_gamma_needs_one_scalar_per_block(self, scalars):
+        delta = hereditary_staircase((1, 1), ZZ, M2)
+        base = LocalBase((delta,))
+        g2 = cyclic_group(2)
+        s = g2.elements[1]
+        comps = {s: identity_component(base)}
+        with pytest.raises(GradedError, match=f"^a gamma value has {len(scalars)} scalars, expected 1$"):
+            graded_order(g2, base, comps, {(s, s): scalars})
+
+    def test_component_needs_one_matrix_per_block(self):
+        delta = hereditary_staircase((1, 1), ZZ, M2)
+        base = LocalBase((delta,))
+        g2 = cyclic_group(2)
+        with pytest.raises(GradedError, match="^a component has 0 blocks, expected 1$"):
+            graded_order(g2, base, {g2.elements[1]: LocalComponent((0,), ())})
 
 
 def swapped_blocks(place):

@@ -161,3 +161,44 @@ class TestActions:
         g = FiniteGroup(4, (perm_from_cycles("(1 2)", 4),))
         orbs = orbits_and_stabilizers(permutation_action(g))
         assert [sorted(o.orbit) for o in orbs] == [[0, 1], [2], [3]]
+
+
+def _on_pairs(group):
+    """The action of a permutation group on the ordered pairs of distinct
+    points, numbered in lexicographic order: one orbit of size n(n-1)."""
+    n = group.degree
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return GroupAction(group, len(pairs), lambda g, i: index[(g[pairs[i][0]], g[pairs[i][1]])])
+
+
+SCHREIER_CASES = [
+    permutation_action(symmetric_group(4)),
+    permutation_action(symmetric_group(5)),
+    permutation_action(FiniteGroup(6, (perm_from_cycles("(1 2 3)", 6), perm_from_cycles("(4 5)", 6)))),
+    permutation_action(FiniteGroup(4, (perm_from_cycles("(1 2)(3 4)", 4), perm_from_cycles("(1 3)(2 4)", 4)))),
+    permutation_action(cyclic_group(1)),
+    _on_pairs(symmetric_group(4)),
+    _on_pairs(FiniteGroup(4, (perm_from_cycles("(1 2 3)", 4), perm_from_cycles("(2 3 4)", 4)))),
+]
+
+
+@pytest.mark.parametrize("action", SCHREIER_CASES, ids=range(len(SCHREIER_CASES)))
+class TestSchreierStabilizers:
+    def test_equal_brute_force(self, action):
+        g = action.group
+        orbits = orbits_and_stabilizers(action)
+        assert [o.representative for o in orbits] == sorted(o.orbit[0] for o in orbits)
+        covered = []
+        for o in orbits:
+            rep = o.representative
+            assert o.orbit == tuple(sorted({action.mapping(x, rep) for x in g.elements}))
+            brute = {x for x in g.elements if action.mapping(x, rep) == rep}
+            assert o.stabilizer.element_set == brute
+            covered += o.orbit
+        assert sorted(covered) == list(range(action.set_size))
+
+    def test_few_generators(self, action):
+        # Schreier generators: at most one per orbit point and group generator
+        for o in orbits_and_stabilizers(action):
+            assert len(o.stabilizer.generators) <= len(o.orbit) * len(action.group.generators)

@@ -2,6 +2,7 @@
 
 import ast
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -128,3 +129,46 @@ def test_public_names_are_used():
     ]
     unused = [where for where, node in defs if not node.name.startswith("_") and node.name not in allowed]
     assert unused == []
+
+
+# Public methods whose name another package class also defines, each with a
+# package function that calls it, as module.function or
+# module.Class.method.  test_public_names_are_used matches bare names, so it
+# would pass a dead method while the other class's method of that name is
+# called; a method only gets a listing with a caller.
+SHARED_NAME_CALLERS = {
+    "base_rings.GaussianInt.is_zero": "base_rings.gaussian_gcd",
+    "base_rings.KElem.is_zero": "base_rings.kelem_valuation",
+    "base_rings.KElem.of": "oracle.flatten",
+    "oracle._Alg.of": "oracle.radical_mod_m",
+    "pic.PicClass.of": "cli._class_representative",
+    "base_rings.FractionalIdealR.as_dict": "base_rings.valuation",
+    "pic.PicClass.as_dict": "pic.construct_class_representative",
+    "base_rings.FractionalIdealR.support": "tiled.validate_global_order",
+    "tiled.GlobalTiledOrder.support": "graded.construct_from_pic",
+    "graded.Monomial.identity": "cli._parse_crossed",
+    "groups.FiniteGroup.identity": "graded.graded_order",
+}
+
+
+def test_shared_method_names_are_listed_with_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    methods = [
+        (f"{module}.{cls.name}.{node.name}", node.name)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    defined = Counter(name for _, name in methods)
+    shared = {where for where, name in methods if defined[name] > 1}
+    unlisted, stale = shared - set(SHARED_NAME_CALLERS), set(SHARED_NAME_CALLERS) - shared
+    assert (unlisted, stale) == (set(), set())
+    for method, caller in SHARED_NAME_CALLERS.items():
+        module, *path = caller.split(".")
+        scope = trees[module]
+        for name in path:
+            scope = next(n for n in scope.body if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+        attr = method.rsplit(".", 1)[1]
+        assert any(isinstance(n, ast.Attribute) and n.attr == attr for n in ast.walk(scope)), (method, caller)
