@@ -32,7 +32,7 @@ from .graded import (
     construct_crossed_product,
     construct_from_pic,
     graded_order,
-    inner_classification,
+    inner_elements,
     validate_strong_grading,
 )
 from .pic import picent_global, picent_local
@@ -62,7 +62,7 @@ __all__ = [
     "construct_crossed_product",
     "construct_from_pic",
     "graded_order",
-    "inner_classification",
+    "inner_elements",
     "validate_strong_grading",
     "picent_global",
     "picent_local",

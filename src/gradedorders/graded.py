@@ -578,54 +578,32 @@ def is_crossed_product(order: GradedOrder) -> tuple[bool, dict[Perm, bool]]:
     return all(verdicts.values()), verdicts
 
 
-@dataclass(frozen=True)
-class InnerClassification:
-    subgroup: FiniteGroup
-    inner_elements: tuple[Perm, ...]
-    context: str
+def inner_elements(
+    order: GradedOrder, subgroup: FiniteGroup, block: int | None = None
+) -> tuple[Perm, ...]:
+    """The elements h of a subgroup whose component is inner: at every
+    local order holding the data (one place: pass ``order.localize(m)``),
+    the component of h fixes the given block, or every block when block is
+    None, and on each such block is a constant shift of the identity
+    component.  On one block this reads the inner elements of that block's
+    corner, graded by the subgroup, off the order itself.  Over the PID
+    bases a consistent family of local shifts always lifts to one global
+    scalar."""
 
-    @property
-    def is_outer(self) -> bool:
-        return len(self.inner_elements) == 1
+    def is_inner(h: Perm) -> bool:
+        for local in order.local_orders():
+            comp = local.components[h]
+            for b in range(local.base.t) if block is None else (block,):
+                if comp.perm[b] != b:
+                    return False
+                if constant_shift_of(comp.mats[b], local.base.blocks[b].entries) is None:
+                    return False
+        return True
 
-
-def _shift_on_block(local: GradedOrder, g: Perm, block: int) -> bool:
-    """Whether the given block of the component of g is a constant shift
-    of that block of the identity component, in a local graded order."""
-    mat = local.components[g].mats[block]
-    return constant_shift_of(mat, local.base.blocks[block].entries) is not None
-
-
-def component_is_inner(order: GradedOrder, g: Perm) -> bool:
-    """Whether the component of g is isomorphic to the identity component
-    as a bimodule at every local order holding the data (one place: pass
-    ``order.localize(m)``).  Over the PID bases a consistent family of
-    local shifts always lifts to one global scalar."""
-    return all(
-        local.components[g].perm == identity_perm(local.base.t)
-        and all(_shift_on_block(local, g, b) for b in range(local.base.t))
-        for local in order.local_orders()
-    )
-
-
-def _inner_elements(subgroup: FiniteGroup, is_inner) -> tuple[Perm, ...]:
     inner = tuple(h for h in subgroup.elements if is_inner(h))
     if {pmul(a, b) for a in inner for b in inner} != set(inner):
         raise GradedError("inner elements do not form a subgroup")
     return inner
-
-
-def inner_classification(order: GradedOrder, subgroup: FiniteGroup) -> InnerClassification:
-    inner = _inner_elements(subgroup, lambda h: component_is_inner(order, h))
-    ctx = f"at {order.base.place}" if order.is_local else "global"
-    return InnerClassification(subgroup, inner, ctx)
-
-
-def block_inner_elements(local: GradedOrder, subgroup: FiniteGroup, block: int) -> tuple[Perm, ...]:
-    """The elements of a subgroup stabilizing the block whose component is
-    inner on that block of the local order: the inner elements of the
-    block's corner, graded by the subgroup, read off the order itself."""
-    return _inner_elements(subgroup, lambda h: _shift_on_block(local, h, block))
 
 
 # ---------------------------------------------------------------------------

@@ -103,15 +103,6 @@ def picent_global(order: GlobalTiledOrder) -> GlobalPicent:
     return GlobalPicent(tuple(comps))
 
 
-def bimodule_trivial_local(
-    x: FractionalIdealMatrix,
-) -> tuple[bool, int | None]:
-    """Whether x is a scalar multiple of its (prime) order, i.e. equals the
-    order shifted by a constant valuation; returns the shift as witness."""
-    s = constant_shift_of(x.entries, x.order.entries)
-    return (s is not None), s
-
-
 def _local_class_of(x: FractionalIdealMatrix) -> int:
     lp = picent_local(x.order)
     power = order_ideal(x.order)
@@ -129,8 +120,7 @@ def pic_class_of(x: dict[MaximalIdeal, FractionalIdealMatrix]) -> PicClass:
     for m, local in x.items():
         if len(zero_pair_classes(local.order)) == 1:
             # maximal localization: the bimodule must be scalar there
-            ok, _ = bimodule_trivial_local(local)
-            if not ok:
+            if constant_shift_of(local.entries, local.order.entries) is None:
                 raise NoMatchingPower(f"non-scalar bimodule at maximal place {m}")
             continue
         k = _local_class_of(local)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .base_rings import MaximalIdeal, factorint, maximal_ideals_above
-from .graded import GradedOrder, block_inner_elements
+from .graded import GradedOrder, inner_elements
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -91,7 +91,7 @@ def main_hereditary_verdict(
             if syl is None or not syl.element_set <= stab.element_set:
                 syl = sylow_subgroup(stab, p)
             for m in places:
-                inner = block_inner_elements(order.localize(m), syl, data.representative)
+                inner = inner_elements(order.localize(m), syl, data.representative)
                 witness = next((h for h in inner if h != stab.identity), None)
                 breakdown.append(VerdictEntry(k, p, m, syl, witness))
     hereditary = delta_ok and all(e.inner_witness is None for e in breakdown)

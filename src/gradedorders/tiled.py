@@ -13,6 +13,7 @@ Containment of ideals is entrywise >= on exponents; products are min-plus.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .base_rings import (
@@ -227,96 +228,23 @@ def is_hereditary_local(order: ExponentMatrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class ProjectiveProfile:
-    """Sizes of the projective classes, listed in radical-cycle order
-    starting from the class containing the least index."""
-
-    block_sizes: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]  # aligned with block_sizes
-
-
-def column_class(
-    order: ExponentMatrix, column: tuple[int, ...]
-) -> tuple[int, int]:
-    """Identify a column with a projective class of the order: the class
-    index (in zero-pair class numbering) and shift s such that the column
-    equals the class column plus s."""
-    classes = zero_pair_classes(order)
-    n = order.n
-    for c, cls in enumerate(classes):
-        ref = tuple(order.entries[i][cls[0]] for i in range(n))
-        s = column[0] - ref[0]
-        if all(column[i] - ref[i] == s for i in range(n)):
-            return c, s
-    raise NotInvertible("column matches no projective class of the order")
-
-
-def left_module_class(x: FractionalIdealMatrix) -> dict[int, int]:
-    """Decompose as a left module: class index -> multiplicity over the
-    columns of x."""
+def is_free_left_module(x: FractionalIdealMatrix) -> bool:
+    """Whether x is isomorphic to its order as a left module: the columns
+    of x, up to shifts, are the order's columns with their multiplicities.
+    Two columns of the (hereditary) order differ by a shift exactly when
+    they lie in one projective class."""
     order = x.order
     if not is_hereditary_local(order):
         raise NotHereditary("left-module classification needs a hereditary order")
     n = order.n
-    counts: dict[int, int] = {}
-    for j in range(n):
-        col = tuple(x.entries[i][j] for i in range(n))
-        c, _ = column_class(order, col)
-        counts[c] = counts.get(c, 0) + 1
-    return counts
 
+    def columns_up_to_shift(entries: IntMatrix) -> Counter:
+        return Counter(tuple(entries[i][j] - entries[0][j] for i in range(n)) for j in range(n))
 
-def is_free_left_module(x: FractionalIdealMatrix) -> bool:
-    """Whether x is isomorphic to its order as a left module."""
-    order = x.order
-    classes = zero_pair_classes(order)
-    return left_module_class(x) == {c: len(cls) for c, cls in enumerate(classes)}
-
-
-def projective_profile(order: ExponentMatrix) -> ProjectiveProfile:
-    if not is_hereditary_local(order):
-        raise NotHereditary("projective profile only defined for hereditary orders")
-    classes = zero_pair_classes(order)
-    if len(classes) == 1:
-        return ProjectiveProfile((len(classes[0]),), (tuple(classes[0]),))
-    rad = radical(order)
-    n = order.n
-    successor = {}
-    for c, cls in enumerate(classes):
-        j = cls[0]
-        col = tuple(rad.entries[i][j] for i in range(n))
-        c2, _ = column_class(order, col)
-        successor[c] = c2
-    ordered = [0]
-    while True:
-        nxt = successor[ordered[-1]]
-        if nxt == 0:
-            break
-        if nxt in ordered or len(ordered) > len(classes):
-            raise NotHereditary("radical does not cycle the projective classes")
-        ordered.append(nxt)
-    if len(ordered) != len(classes):
-        raise NotHereditary("radical does not cycle the projective classes")
-    return ProjectiveProfile(
-        tuple(len(classes[c]) for c in ordered),
-        tuple(tuple(classes[c]) for c in ordered),
-    )
-
-
-def basic_idempotent_corner(
-    order: ExponentMatrix,
-) -> tuple[ExponentMatrix, tuple[int, ...]]:
-    """Corner by one index per projective class; the result is basic."""
-    profile = projective_profile(order)
-    idx = tuple(cls[0] for cls in profile.classes)
-    entries = tuple(
-        tuple(order.entries[i][j] for j in idx) for i in idx
-    )
-    return (
-        ExponentMatrix(len(idx), entries, order.ring, order.place),
-        idx,
-    )
+    ours, free = columns_up_to_shift(x.entries), columns_up_to_shift(order.entries)
+    if not ours.keys() <= free.keys():
+        raise NotInvertible("column matches no projective class of the order")
+    return ours == free
 
 
 def hereditary_staircase(

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -357,6 +358,13 @@ class TestExamples:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("d", ["1", "2"])
+    def test_semiprime_below_degree_three_exit_two(self, capsys, d):
+        # the stabilizer S_(d-1) then has odd order and the order is hereditary
+        code, out, err = run(capsys, "example", "semiprime", "--d", d)
+        assert (code, out) == (2, "")
+        assert err == f"error: d: expected a degree from 3 to 64, got {d}\n"
+
     def test_unknown_example(self, capsys):
         code, _, err = run(capsys, "example", "whatever")
         assert code == 2
@@ -368,6 +376,38 @@ class TestExamples:
         assert code == 0
         rep = json.loads(out)
         assert rep["report"]["outer"] is True
+
+    @pytest.mark.parametrize(
+        "place, digest, prose",
+        [
+            (
+                (),
+                "256b25f32bd438d28b333ed2b0eee599c52488b352995b3b22dfc1460f4b0870",
+                ["inner elements (global): ()", "outer grading: True"],
+            ),
+            (
+                ("--place", "1+2i"),
+                "becb6e101183a58112e9c92977306255a7a8ac3a39025e08cfe399b094827e30",
+                [
+                    "inner elements (at (1+2i)): (), (1 2 3 4 5), (1 3 5 2 4), (1 4 2 5 3), (1 5 4 3 2)",
+                    "outer grading: False",
+                ],
+            ),
+            (
+                ("--place", "2+1i"),
+                "0894290f70b6e068cf66bf06f1f0376f059d52cbbeb9f38a0d41c35c79eb15f0",
+                ["inner elements (at (2+1i)): ()", "outer grading: True"],
+            ),
+        ],
+        ids=["global", "1+2i", "2+1i"],
+    )
+    def test_classify_outer(self, tmp_path, capsys, place, digest, prose):
+        # outer globally, inner at (1+2i) only
+        path = write(tmp_path, load_fixture("outer"))
+        code, out, _ = run(capsys, "classify", path, *place, "--json")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+        code, out, _ = run(capsys, "classify", path, *place)
+        assert (code, out.splitlines()[:-1]) == (0, prose)
 
 
 # ---------------------------------------------------------------------------

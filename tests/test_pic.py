@@ -5,7 +5,6 @@ from gradedorders.pic import (
     NoMatchingPower,
     PicClass,
     PicError,
-    bimodule_trivial_local,
     construct_class_representative,
     pic_class_of,
     picent_global,
@@ -13,6 +12,7 @@ from gradedorders.pic import (
 )
 from gradedorders.tiled import (
     NotHereditary,
+    constant_shift_of,
     hereditary_staircase,
     ideal_multiply,
     ideal_power,
@@ -55,8 +55,7 @@ class TestLocalPicent:
         e = hereditary_staircase((1, 1, 1), ZZ, M2)
         lp = picent_local(e)
         cube = ideal_power(radical(e), lp.cyclic_order)
-        ok, shift = bimodule_trivial_local(cube)
-        assert ok and shift == 1
+        assert constant_shift_of(cube.entries, e.entries) == 1
 
     def test_non_hereditary_rejected(self):
         e = validate_order([[0, 0], [2, 0]], ZZ, M2)
@@ -106,10 +105,8 @@ class TestClasses:
         lp = picent_local(e)
         # class arithmetic: [r]*[r] = [r^2], order 3 overall
         assert lp.cyclic_order == 3
-        ok, _ = bimodule_trivial_local(ideal_power(r, 3))
-        assert ok
-        ok2, _ = bimodule_trivial_local(sq)
-        assert not ok2
+        assert constant_shift_of(ideal_power(r, 3).entries, e.entries) is not None
+        assert constant_shift_of(sq.entries, e.entries) is None
 
     def test_unsupported_place_rejected(self):
         order = gaussian_staircase(2)

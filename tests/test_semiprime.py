@@ -13,7 +13,7 @@ from gradedorders.graded import (
     construct_from_pic,
     graded_order,
     identity_component,
-    inner_classification,
+    inner_elements,
     validate_strong_grading,
 )
 from gradedorders.groups import (
@@ -112,16 +112,8 @@ class TestVerdict:
             p = 2
             syl = sylow_subgroup(stab, p)
             corner = block_corner_graded_order(order, corners[0].representative, stab)
-            corner_inner = len(
-                inner_classification(
-                    corner, corner.group.subgroup(tuple(syl.elements))
-                ).inner_elements
-            )
-            full_inner = len(
-                inner_classification(
-                    order, order.group.subgroup(tuple(syl.elements))
-                ).inner_elements
-            )
+            corner_inner = len(inner_elements(corner, corner.group.subgroup(tuple(syl.elements))))
+            full_inner = len(inner_elements(order, order.group.subgroup(tuple(syl.elements))))
             assert corner_inner == syl.order
             assert full_inner == 1
             if syl.order > 1:
@@ -159,7 +151,7 @@ def reference_verdict(order, sylow_choice=None):
                 syl = sylow_subgroup(stab, p)
             for m in places:
                 corner = block_corner_graded_order(order.localize(m), rep, stab)
-                inner = inner_classification(corner, corner.group.subgroup(syl.elements)).inner_elements
+                inner = inner_elements(corner, corner.group.subgroup(syl.elements))
                 witness = next((h for h in inner if h != group.identity), None)
                 breakdown.append((k, p, m, syl.elements, witness))
     hereditary = delta_ok and all(e[-1] is None for e in breakdown)

@@ -96,7 +96,7 @@ TEST_REFERENCE_HELPERS = {
     "group_to_json": "the inverse of group_from_json, for its round-trip test",
     "ideal_to_json": "the inverse of ideal_from_json, for its round-trip test",
     "pic_class_of": "the inverse of construct_class_representative, for its round-trip test",
-    "basic_idempotent_corner": "the basic corner of a tiled order, for the projective-class tests",
+    "subgroup": "FiniteGroup.subgroup, the checked way tests name a subgroup",
     "coboundary_cocycle": "a cocycle that always satisfies the identity; the crossed benchmark uses it too",
 }
 
@@ -104,23 +104,26 @@ TEST_REFERENCE_HELPERS = {
 def test_public_names_are_used():
     # no dead exports: every public top-level def or class, and every
     # public method or property of a package class, is referenced by other
-    # package code, exported in __all__, or a listed test helper
+    # package code, exported in __all__, or a listed test helper; a method
+    # counts as referenced only through an attribute access (x.name), since
+    # a bare name of the same spelling is some other variable
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
-    used = set()
+    names, attrs = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    allowed = used | set(gradedorders.__all__) | set(TEST_REFERENCE_HELPERS)
+                attrs.add(node.attr)
+    allowed_methods = attrs | set(gradedorders.__all__) | set(TEST_REFERENCE_HELPERS)
+    allowed = names | allowed_methods
     defs = [
         (f"{name}:{node.name}", node)
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     ]
-    defs += [
+    methods = [
         (f"{where}.{node.name}", node)
         for where, cls in defs
         if isinstance(cls, ast.ClassDef)
@@ -128,14 +131,18 @@ def test_public_names_are_used():
         if isinstance(node, ast.FunctionDef)
     ]
     unused = [where for where, node in defs if not node.name.startswith("_") and node.name not in allowed]
+    unused += [
+        where for where, node in methods if not node.name.startswith("_") and node.name not in allowed_methods
+    ]
     assert unused == []
 
 
 # Public methods whose name another package class also defines, each with a
 # package function that calls it, as module.function or
-# module.Class.method.  test_public_names_are_used matches bare names, so it
-# would pass a dead method while the other class's method of that name is
-# called; a method only gets a listing with a caller.
+# module.Class.method.  test_public_names_are_used matches attribute names
+# without their class, so it would pass a dead method while the other
+# class's method of that name is called; a method only gets a listing with a
+# caller.
 SHARED_NAME_CALLERS = {
     "base_rings.GaussianInt.is_zero": "base_rings.gaussian_gcd",
     "base_rings.KElem.is_zero": "base_rings.kelem_valuation",

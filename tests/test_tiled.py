@@ -10,7 +10,6 @@ from gradedorders.tiled import (
     ExponentMatrix,
     NotHereditary,
     ZeroDiagonalViolation,
-    basic_idempotent_corner,
     constant_shift_of,
     dual_ideal,
     hereditary_staircase,
@@ -22,7 +21,6 @@ from gradedorders.tiled import (
     localize,
     minplus,
     order_ideal,
-    projective_profile,
     radical,
     validate_global_order,
     validate_order,
@@ -159,10 +157,6 @@ class TestHereditary:
 
 
 class TestProjectives:
-    def test_profile_of_staircase(self):
-        prof = projective_profile(staircase(2, 1))
-        assert sorted(prof.block_sizes) == [1, 2]
-
     def test_radical_not_free_when_blocks_unequal(self):
         e = staircase(2, 1)
         assert not is_free_left_module(radical(e))
@@ -171,11 +165,6 @@ class TestProjectives:
     def test_radical_free_when_blocks_equal(self):
         e = staircase(2, 2)
         assert is_free_left_module(radical(e))
-
-    def test_basic_corner(self):
-        e = staircase(2, 1)
-        idx = basic_idempotent_corner(e)
-        assert len(idx) == 2
 
 
 class TestGlobal:
