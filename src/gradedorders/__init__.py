@@ -12,7 +12,6 @@ from .base_rings import (
     ZI,
     BaseRing,
     FractionalIdealR,
-    GaussianInt,
     KElem,
     MaximalIdeal,
     maximal_ideals_above,
@@ -44,7 +43,6 @@ __all__ = [
     "ZI",
     "BaseRing",
     "FractionalIdealR",
-    "GaussianInt",
     "KElem",
     "MaximalIdeal",
     "maximal_ideals_above",

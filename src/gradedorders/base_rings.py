@@ -1,10 +1,11 @@
-"""Exact arithmetic over Z and Z[i]: Gaussian integers, integer factoring,
+"""Exact arithmetic over Z and Z[i]: field elements, integer factoring,
 maximal ideals, prime splitting, valuations and fractional ideals.
 
 Both supported base rings are principal ideal domains.  Ideals are kept in
 factored form (maximal ideal -> exponent) and can always produce a
 generator.  Generators in Z[i] are normalized to the unique associate in
 the first quadrant (re > 0, im >= 0) so equality tests are deterministic.
+An element of the ring is the field element (a + b*i)/d with d = 1.
 
 Completions never appear as data: local data is the global ring together
 with one maximal ideal (its place), and every downstream computation uses
@@ -17,10 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-
-RING_Z = "Z"
-RING_ZI = "Zi"
-
 
 # largest valuation magnitude accepted from input: exact scalars are
 # uniformizer powers, and their size grows with it
@@ -46,111 +43,6 @@ class NotPrime(RingError):
 
 class NotInRing(RingError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Gaussian integers
-
-
-@dataclass(frozen=True)
-class GaussianInt:
-    re: int
-    im: int
-
-    def __add__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> GaussianInt:
-        return GaussianInt(-self.re, -self.im)
-
-    def __mul__(self, other: GaussianInt) -> GaussianInt:
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> GaussianInt:
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __divmod__(self, other: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
-        """Euclidean division with remainder of norm < norm(other)."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero Gaussian integer")
-        d = other.norm()
-        num = self * other.conj()
-        q = GaussianInt(_round_div(num.re, d), _round_div(num.im, d))
-        return q, self - q * other
-
-    def exact_div(self, other: GaussianInt) -> GaussianInt:
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise RingError(f"{other} does not divide {self}")
-        return q
-
-    def normalized(self) -> GaussianInt:
-        """The first-quadrant associate (re > 0, im >= 0); 0 stays 0."""
-        z = self
-        for _ in range(4):
-            if z.re > 0 and z.im >= 0:
-                return z
-            z = GaussianInt(-z.im, z.re)  # multiply by i
-        return self  # zero
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        return f"{self.re}{self.im:+}i"
-
-    def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
-
-
-def _round_div(a: int, b: int) -> int:
-    """Round a/b to the nearest integer (ties go up)."""
-    return (2 * a + b) // (2 * b)
-
-
-def parse_gaussian(s: str) -> GaussianInt:
-    """Parse strings like "5", "1+2i", "-3i", "i", "2-i"."""
-    import re as _re
-
-    s = s.strip().replace(" ", "")
-    # the real part is a whole digit run not followed by i; a lookahead of
-    # one character keeps the match linear in the length of s
-    m = _re.fullmatch(r"(?:([+-]?\d+)(?![\di]))?(([+-]?\d*)i)?", s)
-    if not m or (m.group(1) is None and m.group(2) is None):
-        raise RingError(f"cannot parse Gaussian integer: {s!r}")
-    try:
-        re_part = int(m.group(1)) if m.group(1) else 0
-        im_part = 0
-        if m.group(2) is not None:
-            raw = m.group(3)
-            if raw in ("", "+"):
-                im_part = 1
-            elif raw == "-":
-                im_part = -1
-            else:
-                im_part = int(raw)
-    except ValueError:  # a numeral past the interpreter's digit limit
-        raise RingError(f"cannot parse Gaussian integer: too long ({len(s)} characters)") from None
-    return GaussianInt(re_part, im_part)
-
-
-def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +84,6 @@ class KElem:
         if type(re) is int and type(im) is int:
             return _make(re, im, 1)
         return KElem(re, im)
-
-    @staticmethod
-    def from_gaussian(z: GaussianInt) -> KElem:
-        return _make(z.re, z.im, 1)
 
     @property
     def re(self) -> Fraction:
@@ -262,10 +150,6 @@ class KElem:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def as_int_pair(self) -> tuple[GaussianInt, int]:
-        """Write the element as (numerator, positive integer denominator)."""
-        return GaussianInt(self.a, self.b), self.d
-
     def __str__(self) -> str:
         re, im = self.re, self.im
         if im == 0:
@@ -301,6 +185,32 @@ def _reduced(a: int, b: int, d: int) -> KElem:
 
 
 KONE = _make(1, 0, 1)
+
+
+def parse_gaussian(s: str) -> KElem:
+    """Parse strings like "5", "1+2i", "-3i", "i", "2-i" as a ring element."""
+    import re as _re
+
+    s = s.strip().replace(" ", "")
+    # the real part is a whole digit run not followed by i; a lookahead of
+    # one character keeps the match linear in the length of s
+    m = _re.fullmatch(r"(?:([+-]?\d+)(?![\di]))?(([+-]?\d*)i)?", s)
+    if not m or (m.group(1) is None and m.group(2) is None):
+        raise RingError(f"cannot parse Gaussian integer: {s!r}")
+    try:
+        re_part = int(m.group(1)) if m.group(1) else 0
+        im_part = 0
+        if m.group(2) is not None:
+            raw = m.group(3)
+            if raw in ("", "+"):
+                im_part = 1
+            elif raw == "-":
+                im_part = -1
+            else:
+                im_part = int(raw)
+    except ValueError:  # a numeral past the interpreter's digit limit
+        raise RingError(f"cannot parse Gaussian integer: too long ({len(s)} characters)") from None
+    return _make(re_part, im_part, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -399,41 +309,19 @@ def _sqrt_minus_one(p: int) -> int:
     return min(r, p - r)
 
 
+def _two_squares(p: int) -> tuple[int, int]:
+    """(a, b) with a*a + b*b = p, for a prime p = 1 (mod 4): Euclid on
+    (p, r), r the smaller square root of -1, run until the remainder r
+    satisfies r*r < p; that remainder and the next are a and b (Brillhart,
+    Math. Comp. 26, 1972)."""
+    a, b = p, _sqrt_minus_one(p)
+    while b * b > p:
+        a, b = b, a % b
+    return b, a % b
+
+
 # ---------------------------------------------------------------------------
 # Rings and maximal ideals
-
-
-@dataclass(frozen=True)
-class MaximalIdeal:
-    """A maximal ideal of Z or Z[i], stored by its normalized prime
-    generator together with residue data (p, q = p**f)."""
-
-    ring_kind: str
-    gen_re: int
-    gen_im: int
-    residue_char: int
-    residue_size: int
-
-    @property
-    def generator(self) -> GaussianInt:
-        return GaussianInt(self.gen_re, self.gen_im)
-
-    @property
-    def residue_degree(self) -> int:
-        return 1 if self.residue_size == self.residue_char else 2
-
-    def __str__(self) -> str:
-        if self.ring_kind == RING_Z:
-            return f"({self.gen_re})"
-        return f"({self.generator})"
-
-    def __repr__(self) -> str:
-        return f"MaximalIdeal({self.ring_kind}, {self.generator})"
-
-
-def place_key(m: MaximalIdeal) -> tuple[int, int, int]:
-    """Sort key for places: by residue characteristic, then generator."""
-    return m.residue_char, m.gen_re, m.gen_im
 
 
 @dataclass(frozen=True)
@@ -443,14 +331,45 @@ class BaseRing:
     kind: str
 
 
+ZZ = BaseRing("Z")
+ZI = BaseRing("Zi")
+
+
+@dataclass(frozen=True)
+class MaximalIdeal:
+    """A maximal ideal of Z or Z[i], stored by its normalized prime
+    generator together with residue data (p, q = p**f)."""
+
+    ring: BaseRing
+    gen_re: int
+    gen_im: int
+    residue_char: int
+    residue_size: int
+
+    @property
+    def generator(self) -> KElem:
+        return _make(self.gen_re, self.gen_im, 1)
+
+    @property
+    def residue_degree(self) -> int:
+        return 1 if self.residue_size == self.residue_char else 2
+
+    def __str__(self) -> str:
+        return f"({self.generator})"
+
+    def __repr__(self) -> str:
+        return f"MaximalIdeal({self.ring.kind}, {self.generator})"
+
+
+def place_key(m: MaximalIdeal) -> tuple[int, int, int]:
+    """Sort key for places: by residue characteristic, then generator."""
+    return m.residue_char, m.gen_re, m.gen_im
+
+
 def check_place(ring: BaseRing, m: MaximalIdeal) -> None:
     """Refuse a maximal ideal of the other ring."""
-    if m.ring_kind != ring.kind:
+    if m.ring != ring:
         raise RingError("maximal ideal belongs to a different ring")
-
-
-ZZ = BaseRing(RING_Z)
-ZI = BaseRing(RING_ZI)
 
 
 def _factor(norm: int) -> dict[int, int]:
@@ -466,70 +385,67 @@ def _is_prime(p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _factor_prime_cached(kind: str, p: int) -> tuple[tuple[MaximalIdeal, int], ...]:
-    if kind == RING_Z:
-        return ((MaximalIdeal(RING_Z, p, 0, p, p), 1),)
+def _factor_prime_cached(ring: BaseRing, p: int) -> tuple[tuple[MaximalIdeal, int], ...]:
+    if ring == ZZ:
+        return ((MaximalIdeal(ZZ, p, 0, p, p), 1),)
     if p == 2:
-        return ((MaximalIdeal(RING_ZI, 1, 1, 2, 2), 2),)
+        return ((MaximalIdeal(ZI, 1, 1, 2, 2), 2),)
     if p % 4 == 3:
-        return ((MaximalIdeal(RING_ZI, p, 0, p, p * p), 1),)
-    # split case: p = (a+bi)(a-bi)
-    r = _sqrt_minus_one(p)
-    g = gaussian_gcd(GaussianInt(p, 0), GaussianInt(r, 1))
-    g2 = g.conj().normalized()
-    ms = sorted(
-        [g, g2], key=lambda z: (z.re, z.im)
-    )
-    return tuple(
-        (MaximalIdeal(RING_ZI, z.re, z.im, p, p), 1) for z in ms
-    )
+        return ((MaximalIdeal(ZI, p, 0, p, p * p), 1),)
+    # split case: p = (a+bi)(a-bi), and a-bi is an associate of b+ai
+    a, b = _two_squares(p)
+    return tuple((MaximalIdeal(ZI, x, y, p, p), 1) for x, y in sorted([(a, b), (b, a)]))
 
 
 def factor_rational_prime(ring: BaseRing, p: int) -> list[tuple[MaximalIdeal, int]]:
     """Maximal ideals above the rational prime p, with ramification indices."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not a rational prime")
-    return list(_factor_prime_cached(ring.kind, p))
+    return list(_factor_prime_cached(ring, p))
 
 
 def maximal_ideals_above(ring: BaseRing, p: int) -> list[MaximalIdeal]:
     return [m for m, _ in factor_rational_prime(ring, p)]
 
 
-def element_valuation(z: GaussianInt, m: MaximalIdeal) -> int:
-    """Exponent of m in the factorization of the nonzero element z."""
+def element_valuation(z: KElem, m: MaximalIdeal) -> int:
+    """Exponent of m in the factorization of the nonzero ring element z."""
+    if z.d != 1:
+        raise NotInRing(f"{z} is not an element of the ring")
     if z.is_zero():
         raise RingError("valuation of zero")
-    return _valuation(z.re, z.im, m)
+    return _valuation(z.a, z.b, m)
+
+
+def divide_by_generator(a: int, b: int, m: MaximalIdeal) -> tuple[int, int] | None:
+    """(a + b*i) divided by the generator of m, as a coordinate pair, or
+    None when the quotient is not a Gaussian integer."""
+    gr, gi = m.gen_re, m.gen_im
+    if gi == 0:  # m = (p): a rational prime, or an inert one of Z[i]
+        return None if a % gr or b % gr else (a // gr, b // gr)
+    # (a + b*i) / (gr + gi*i) = (a + b*i)(gr - gi*i) / q
+    q = gr * gr + gi * gi
+    x, y = a * gr + b * gi, b * gr - a * gi
+    return None if x % q or y % q else (x // q, y // q)
 
 
 def _valuation(a: int, b: int, m: MaximalIdeal) -> int:
     """Exponent of m in the nonzero Gaussian integer a + b*i."""
     v = 0
-    gr, gi = m.gen_re, m.gen_im
-    if gi == 0:  # m = (p): a rational prime, or an inert one of Z[i]
-        while a % gr == 0 and b % gr == 0:
-            a //= gr
-            b //= gr
-            v += 1
-        return v
-    # (a + b*i) / (gr + gi*i) = (a + b*i)(gr - gi*i) / q
-    q = gr * gr + gi * gi
-    while True:
-        x, y = a * gr + b * gi, b * gr - a * gi
-        if x % q or y % q:
-            return v
-        a, b = x // q, y // q
+    while (quotient := divide_by_generator(a, b, m)) is not None:
+        a, b = quotient
         v += 1
+    return v
 
 
 def kelem_valuation(ring: BaseRing, x: KElem, m: MaximalIdeal) -> int:
     """Valuation at m of a nonzero element of the quotient field."""
     if x.is_zero():
         raise RingError("valuation of zero")
-    if ring.kind == RING_Z and x.b != 0:
+    if x.b != 0 and ring == ZZ:
         raise NotInRing("element has nonzero imaginary part over Z")
-    return _valuation(x.a, x.b, m) - _valuation(x.d, 0, m)
+    v = _valuation(x.a, x.b, m)
+    return v if x.d == 1 else v - _valuation(x.d, 0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +457,12 @@ class FractionalIdealR:
     """A fractional ideal, as a finite product of maximal-ideal powers.
     Exponents in the stored factorization are nonzero."""
 
-    ring_kind: str
+    ring: BaseRing
     factors: tuple[tuple[MaximalIdeal, int], ...]  # sorted, exponents != 0
 
     @staticmethod
     def one(ring: BaseRing) -> FractionalIdealR:
-        return FractionalIdealR(ring.kind, ())
+        return FractionalIdealR(ring, ())
 
     @staticmethod
     def from_factors(
@@ -558,14 +474,16 @@ class FractionalIdealR:
                 key=lambda t: place_key(t[0]),
             )
         )
-        return FractionalIdealR(ring.kind, items)
+        return FractionalIdealR(ring, items)
 
     @staticmethod
-    def principal(ring: BaseRing, gen: int | GaussianInt) -> FractionalIdealR:
-        z = GaussianInt(gen, 0) if isinstance(gen, int) else gen
+    def principal(ring: BaseRing, gen: int | KElem) -> FractionalIdealR:
+        z = KElem.of(gen) if isinstance(gen, int) else gen
+        if z.d != 1:
+            raise NotInRing(f"{z} is not an element of the ring")
         if z.is_zero():
             raise RingError("zero generator")
-        if ring.kind == RING_Z and z.im != 0:
+        if ring == ZZ and z.b != 0:
             raise NotInRing("Gaussian generator over Z")
         fac: dict[MaximalIdeal, int] = {}
         for p in _factor(_norm(ring, z)):
@@ -579,25 +497,15 @@ class FractionalIdealR:
         return dict(self.factors)
 
     def __mul__(self, other: FractionalIdealR) -> FractionalIdealR:
-        if other.ring_kind != self.ring_kind:
+        if other.ring != self.ring:
             raise RingError("ideals over different rings")
         fac = self.as_dict()
         for m, e in other.factors:
             fac[m] = fac.get(m, 0) + e
-        return FractionalIdealR.from_factors(BaseRing(self.ring_kind), fac)
+        return FractionalIdealR.from_factors(self.ring, fac)
 
     def __pow__(self, k: int) -> FractionalIdealR:
-        return FractionalIdealR.from_factors(
-            BaseRing(self.ring_kind), {m: e * k for m, e in self.factors}
-        )
-
-    def __add__(self, other: FractionalIdealR) -> FractionalIdealR:
-        """Ideal sum: placewise minimum of valuations (missing places are 0)."""
-        if other.ring_kind != self.ring_kind:
-            raise RingError("ideals over different rings")
-        a, b = self.as_dict(), other.as_dict()
-        fac = {m: min(a.get(m, 0), b.get(m, 0)) for m in set(a) | set(b)}
-        return FractionalIdealR.from_factors(BaseRing(self.ring_kind), fac)
+        return FractionalIdealR.from_factors(self.ring, {m: e * k for m, e in self.factors})
 
     def support(self) -> list[MaximalIdeal]:
         return [m for m, _ in self.factors]
@@ -613,15 +521,15 @@ def principal_generator(ideal: FractionalIdealR) -> KElem:
     supported rings are PIDs, so every fractional ideal is principal."""
     gen = KONE
     for m, e in ideal.factors:
-        gen = gen * (KElem.from_gaussian(m.generator) ** e)
-    return normalize_scalar(BaseRing(ideal.ring_kind), gen)
+        gen = gen * (m.generator ** e)
+    return normalize_scalar(ideal.ring, gen)
 
 
 def normalize_scalar(ring: BaseRing, x: KElem) -> KElem:
     """Canonical associate: positive over Q, first-quadrant over Q(i)."""
     if x.is_zero():
         return x
-    if ring.kind == RING_Z:
+    if ring == ZZ:
         return _make(abs(x.a), 0, x.d) if x.b == 0 else x
     a, b = x.a, x.b
     for _ in range(4):
@@ -631,12 +539,12 @@ def normalize_scalar(ring: BaseRing, x: KElem) -> KElem:
     return x
 
 
-def _norm(ring: BaseRing, z: GaussianInt) -> int:
-    """The norm over the ring: |z| over Z, z * conj(z) over Z[i]."""
-    return abs(z.re) if ring.kind == RING_Z else z.norm()
+def _norm(ring: BaseRing, z: KElem) -> int:
+    """The norm of a ring element: |z| over Z, z * conj(z) over Z[i]."""
+    return abs(z.a) if ring == ZZ else z.a * z.a + z.b * z.b
 
 
-def ideal_generators(ring: BaseRing, obj) -> list[tuple[GaussianInt, int]]:
+def ideal_generators(ring: BaseRing, obj) -> list[tuple[KElem, int]]:
     """Read {"gen": "..."} or {"factors": [["gen", e], ...]} as (generator,
     exponent) pairs, without factoring anything."""
     if not isinstance(obj, dict):
@@ -683,10 +591,9 @@ def ideal_to_json(ideal: FractionalIdealR) -> dict:
     return {"factors": [[str(m.generator), e] for m, e in ideal.factors]}
 
 
-def _parse_elem(ring: BaseRing, s) -> GaussianInt:
-    if isinstance(s, int):
-        return GaussianInt(s, 0)
-    z = parse_gaussian(str(s))
-    if ring.kind == RING_Z and z.im != 0:
+def _parse_elem(ring: BaseRing, s) -> KElem:
+    # a JSON boolean is not an integer: as the text "True" it is refused
+    z = KElem.of(s) if type(s) is int else parse_gaussian(str(s))
+    if ring == ZZ and z.b != 0:
         raise NotInRing(f"{s!r} is not an element of Z")
     return z

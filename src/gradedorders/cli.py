@@ -21,11 +21,12 @@ from .base_rings import (
     ZZ,
     ZI,
     BaseRing,
-    KElem,
     MaximalIdeal,
     RingError,
+    _norm,
     check_exponent,
     check_factoring_budget,
+    element_valuation,
     ideal_from_json,
     ideal_generators,
     maximal_ideals_above,
@@ -102,15 +103,17 @@ def _parse_place(ring: BaseRing, text: str) -> MaximalIdeal:
     text = text.strip().strip("()")
     try:
         z = parse_gaussian(text)
-        if ring.kind == "Z":
-            if z.im != 0:
+        if ring == ZZ:
+            if z.b != 0:
                 raise InputError(f"prime: {text!r} is not a rational prime")
-            return maximal_ideals_above(ZZ, abs(z.re))[0]
-        # over Z[i] the place is the one whose generator is an associate of z
-        p = z.norm() if z.im else abs(z.re)
+            return maximal_ideals_above(ZZ, abs(z.a))[0]
+        # over Z[i] the place is the one whose generator is an associate of
+        # z: z lies in it and has its norm.  A prime off both axes has a
+        # rational prime norm; one on an axis is a rational prime up to a unit
+        norm = _norm(ring, z)
+        p = norm if z.a and z.b else abs(z.a or z.b)
         for m in maximal_ideals_above(ring, p):
-            q, r = divmod(z, m.generator)
-            if r.re == 0 and r.im == 0 and q.norm() == 1:
+            if m.residue_size == norm and element_valuation(z, m):
                 return m
     except RingError as e:
         raise InputError(f"prime: {e}") from None
@@ -251,9 +254,7 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
         gk, hk = key.split("|")
         g = _perm(gk, group.degree, "gamma")
         h = _perm(hk, group.degree, "gamma")
-        gamma[(g, h)] = tuple(
-            KElem.from_gaussian(parse_gaussian(str(s))) for s in scalars
-        )
+        gamma[(g, h)] = tuple(parse_gaussian(str(s)) for s in scalars)
     return graded_order(group, base, comps, gamma)
 
 
@@ -543,9 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="path to a JSON description")
+    def common(p):
+        p.add_argument("input", help="path to a JSON description")
         p.add_argument("--json", action="store_true", help="emit canonical JSON")
 
     p = sub.add_parser("check", help="hereditariness verdict for a graded order")

@@ -11,17 +11,17 @@ coordinate.
 
 from __future__ import annotations
 
-from .base_rings import RING_Z, GaussianInt, KElem, MaximalIdeal, RingError, element_valuation
+from .base_rings import ZZ, KElem, MaximalIdeal, RingError, divide_by_generator
 
 
-def _cancel(x: KElem, m: MaximalIdeal) -> tuple[GaussianInt, GaussianInt]:
-    """x as num/den over Z[i] with den a unit at m; a pole raises RingError."""
-    num, d = x.as_int_pair()
-    den = GaussianInt(d, 0)
-    g = m.generator
-    for _ in range(element_valuation(den, m)):
-        num = num.exact_div(g)
-        den = den.exact_div(g)
+def _cancel(x: KElem, m: MaximalIdeal) -> tuple[tuple[int, int], tuple[int, int]]:
+    """x as num/den, two Gaussian integers as coordinate pairs, with den a
+    unit at m; a pole raises RingError."""
+    num, den = (x.a, x.b), (x.d, 0)
+    while (quotient := divide_by_generator(*den, m)) is not None:
+        den, num = quotient, divide_by_generator(*num, m)
+        if num is None:
+            raise RingError("element has a pole at the place")
     return num, den
 
 
@@ -42,7 +42,7 @@ def digit_map(m: MaximalIdeal):
     raises RingError."""
     p = m.residue_char
     mod = p * p
-    if m.ring_kind == RING_Z:
+    if m.ring == ZZ:
 
         def digits(x: KElem):
             if x.b != 0:
@@ -66,10 +66,10 @@ def digit_map(m: MaximalIdeal):
     if p == 2:  # ramified: Z[i]/2 = F_2 + F_2*(1+i)
 
         def digits(x: KElem):
-            num, den = _cancel(x, m)
+            (a, b), (c, d) = _cancel(x, m)
             # den is 1 or i mod 2, its own conjugate's inverse
-            re = (num.re * den.re + num.im * den.im) % 2
-            im = (num.im * den.re - num.re * den.im) % 2
+            re = (a * c + b * d) % 2
+            im = (b * c - a * d) % 2
             return (((re + im) % 2, im),)
 
         return digits, False
@@ -79,8 +79,8 @@ def digit_map(m: MaximalIdeal):
     r2 = (r + p * ((-1 - r * r) // p * pow(2 * r, -1, p))) % mod
 
     def digits(x: KElem):
-        num, den = _cancel(x, m)
-        w = (num.re + r2 * num.im) * pow(den.re + r2 * den.im, -1, mod) % mod
+        (a, b), (c, d) = _cancel(x, m)
+        w = (a + r2 * b) * pow(c + r2 * d, -1, mod) % mod
         return (_digits(w, p),)
 
     return digits, True

@@ -119,7 +119,7 @@ class LocalBase:
 def _check_base(base: LocalBase) -> None:
     """The blocks of a local graded order share one place of their ring."""
     m = base.place
-    if m is None or any((blk.ring, blk.place) != (BaseRing(m.ring_kind), m) for blk in base.blocks):
+    if m is None or any((blk.ring, blk.place) != (m.ring, m) for blk in base.blocks):
         raise GradedError("the blocks of a local base must share one place of their ring")
 
 

@@ -325,7 +325,7 @@ def group_to_json(g: FiniteGroup) -> dict:
 
 
 def group_from_json(obj) -> FiniteGroup:
-    if not isinstance(obj, dict) or not isinstance(obj.get("degree"), int):
+    if not isinstance(obj, dict) or type(obj.get("degree")) is not int:
         raise GroupError("group: expected an object with an integer degree")
     degree = obj["degree"]
     if not 1 <= degree <= MAX_DEGREE:

@@ -182,7 +182,7 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
     deg = m.residue_degree
     if n_total * deg > RANK_CAP:
         raise RankCapExceeded(f"flattened rank {n_total} exceeds cap {RANK_CAP // deg}")
-    gen = KElem.from_gaussian(m.generator)
+    gen = m.generator
     one = KElem.of(1, 0)
     powers: dict[int, KElem] = {0: one, 1: gen}
 

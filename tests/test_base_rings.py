@@ -16,9 +16,9 @@ from gradedorders.base_rings import (
     ZZ,
     ZI,
     FractionalIdealR,
-    GaussianInt,
     KElem,
     RingError,
+    divide_by_generator,
     element_valuation,
     factor_rational_prime,
     factorint,
@@ -34,19 +34,15 @@ from gradedorders.base_rings import (
 
 
 class TestGaussianInt:
+    # a Gaussian integer is the field element (a + b*i)/1
     def test_norm_multiplicative(self):
-        a, b = GaussianInt(3, 2), GaussianInt(-1, 4)
-        assert (a * b).norm() == a.norm() * b.norm()
-
-    def test_euclidean_division(self):
-        a, b = GaussianInt(27, -23), GaussianInt(8, 1)
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.norm() < b.norm()
+        a, b = KElem.of(3, 2), KElem.of(-1, 4)
+        assert base_rings._norm(ZI, a * b) == base_rings._norm(ZI, a) * base_rings._norm(ZI, b)
 
     def test_parse_roundtrip(self):
         for s in ("3", "-2", "i", "-i", "1+2i", "2-1i", "5i"):
             z = parse_gaussian(s)
+            assert z.d == 1
             assert parse_gaussian(str(z)) == z
 
     @pytest.mark.parametrize("tail", ["x", "i+", "+1x"])
@@ -61,15 +57,18 @@ class TestGaussianInt:
             parse_gaussian("2+3j+1")
 
 
-gaussians = st.builds(GaussianInt, st.integers(-30, 30), st.integers(-30, 30))
+gaussians = st.builds(KElem.of, st.integers(-30, 30), st.integers(-30, 30))
+places = st.sampled_from([m for p in (2, 3, 5, 13) for m in maximal_ideals_above(ZI, p)])
 
 
-@given(gaussians, gaussians.filter(lambda z: z.norm() != 0))
-@settings(max_examples=200)
-def test_divmod_property(a, b):
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.norm() < b.norm()
+@given(gaussians, places)
+@settings(max_examples=300)
+def test_divide_by_generator(z, m):
+    quotient = divide_by_generator(z.a, z.b, m)
+    if quotient is None:
+        assert not z.is_zero() and element_valuation(z, m) == 0
+    else:
+        assert KElem.of(*quotient) * m.generator == z
 
 
 class TestSplitting:
@@ -78,7 +77,7 @@ class TestSplitting:
         assert [e for _, e in factors] == [1, 1]
         ms = maximal_ideals_above(ZI, 5)
         assert len(ms) == 2
-        assert {m.generator.norm() for m in ms} == {5}
+        assert {base_rings._norm(ZI, m.generator) for m in ms} == {5}
 
     def test_inert_prime(self):
         ms = maximal_ideals_above(ZI, 3)
@@ -88,7 +87,7 @@ class TestSplitting:
     def test_ramified_prime(self):
         ms = maximal_ideals_above(ZI, 2)
         assert len(ms) == 1
-        assert ms[0].generator.norm() == 2
+        assert base_rings._norm(ZI, ms[0].generator) == 2
 
     def test_rational_places(self):
         (m,) = maximal_ideals_above(ZZ, 7)
@@ -150,13 +149,18 @@ class TestFactoring:
 class TestValuation:
     def test_element_valuation_split(self):
         p, q = maximal_ideals_above(ZI, 5)
-        z = GaussianInt(5, 0)
+        z = KElem.of(5)
         assert element_valuation(z, p) == 1
         assert element_valuation(z, q) == 1
 
     def test_ramified(self):
         (m,) = maximal_ideals_above(ZI, 2)
-        assert element_valuation(GaussianInt(2, 0), m) == 2
+        assert element_valuation(KElem.of(2), m) == 2
+
+    def test_element_valuation_refuses_a_fraction(self):
+        (m,) = maximal_ideals_above(ZI, 2)
+        with pytest.raises(RingError, match=r"^1/2 is not an element of the ring$"):
+            element_valuation(KElem(Fraction(1, 2)), m)
 
     @given(st.integers(1, 400), st.sampled_from([2, 3, 5, 7]))
     def test_valuation_homomorphism(self, n, p):
@@ -258,11 +262,14 @@ class TestKElemAgainstModel:
     @given(kvalues)
     @settings(max_examples=300)
     def test_int_pair_and_str(self, x):
+        # the numerator a + b*i is a Gaussian integer, the denominator d a
+        # positive integer
         k = KElem(*x)
-        num, den = k.as_int_pair()
-        assert den > 0
-        assert math.gcd(num.re, num.im, den) == 1
-        assert (Fraction(num.re, den), Fraction(num.im, den)) == x
+        num, den = KElem.of(k.a, k.b), k.d
+        assert den > 0 and num.d == 1
+        assert math.gcd(num.a, num.b, den) == 1
+        assert num / KElem.of(den) == k
+        assert (Fraction(k.a, den), Fraction(k.b, den)) == x
         assert str(k) == model_str(x)
 
     def test_immutable(self):
@@ -283,22 +290,20 @@ class TestFractionalIdeal:
         assert valuation(a * a ** -1, p) == 0
         assert (a * a).factors == FractionalIdealR.from_factors(ZI, {p: 4, q: -2}).factors
 
-    def test_sum_is_min(self):
-        p, q = maximal_ideals_above(ZI, 5)
-        a = FractionalIdealR.from_factors(ZI, {p: 2})
-        b = FractionalIdealR.from_factors(ZI, {p: 1, q: 3})
-        s = a + b
-        assert valuation(s, p) == 1 and valuation(s, q) == 0
-
     def test_principality(self):
         p, q = maximal_ideals_above(ZI, 5)
         ideal = FractionalIdealR.from_factors(ZI, {p: 1, q: 1})
         gen = principal_generator(ideal)
-        assert FractionalIdealR.principal(ZI, gen.as_int_pair()[0]) == ideal
+        assert FractionalIdealR.principal(ZI, gen) == ideal
         assert gen == normalize_scalar(ZI, KElem.of(5, 0)) or gen == KElem.of(5, 0)
         # PID base: everything principal
         one = FractionalIdealR.from_factors(ZI, {p: 1})
-        assert FractionalIdealR.principal(ZI, principal_generator(one).as_int_pair()[0]) == one
+        assert FractionalIdealR.principal(ZI, principal_generator(one)) == one
+
+    def test_principal_refuses_a_fraction(self):
+        # 1/2 has a unit numerator: without the check it would give the unit ideal
+        with pytest.raises(RingError, match=r"^1/2 is not an element of the ring$"):
+            FractionalIdealR.principal(ZI, KElem(Fraction(1, 2)))
 
     def test_json_roundtrip(self):
         p, q = maximal_ideals_above(ZI, 5)

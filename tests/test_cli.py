@@ -183,6 +183,24 @@ class TestCheck:
                     "class": {"2": 1},
                 },
             ),
+            (
+                "entries",
+                {
+                    "delta": {
+                        "ring": "Z",
+                        "entries": [[{"factors": []}, {"gen": True}], [{"gen": 2}, {"factors": []}]],
+                    },
+                    "class": {"2": 1},
+                },
+            ),
+            (
+                "group",
+                {
+                    "kind": "crossed-product",
+                    "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+                    "group": {"degree": True, "gens": []},
+                },
+            ),
         ],
         ids=[
             "ring",
@@ -205,6 +223,8 @@ class TestCheck:
             "group.degree-oversize",
             "prime-oversize",
             "entries-oversize",
+            "entries-gen-bool",
+            "group.degree-bool",
         ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
@@ -408,6 +428,47 @@ class TestExamples:
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
         code, out, _ = run(capsys, "classify", path, *place)
         assert (code, out.splitlines()[:-1]) == (0, prose)
+
+
+class TestPlaceOption:
+    # a place is named by any associate of its generator
+    @pytest.mark.parametrize(
+        "text, place",
+        [
+            ("2+i", "(2+1i)"),
+            ("-2-i", "(2+1i)"),
+            ("1-2i", "(2+1i)"),
+            ("-1+2i", "(2+1i)"),
+            ("1-i", "(1+1i)"),
+            ("-1-i", "(1+1i)"),
+            ("(1+i)", "(1+1i)"),
+            ("-3", "(3)"),
+            ("3i", "(3)"),
+            ("-3i", "(3)"),
+            ("4-i", "(1+4i)"),
+        ],
+    )
+    def test_associate_names_the_place(self, tmp_path, capsys, text, place):
+        path = write(tmp_path, load_fixture("outer"))
+        code, out, _ = run(capsys, "classify", path, f"--place={text}", "--json")
+        assert code == 0
+        assert json.loads(out)["report"]["context"] == f"at {place}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5", "cannot identify the place of '5'"),
+            ("2", "cannot identify the place of '2'"),
+            ("1", "1 is not a rational prime"),
+            ("0", "0 is not a rational prime"),
+            ("2+2i", "8 is not a rational prime"),
+        ],
+    )
+    def test_non_prime_exit_two(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, load_fixture("outer"))
+        code, out, err = run(capsys, "classify", path, f"--place={text}")
+        assert (code, out) == (2, "")
+        assert err == f"error: prime: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ def swap_and_radical(place):
     group = FiniteGroup(3, (perm_from_cycles("(1 2)", 3),))
     e, s = group.elements
     idm = Monomial((0, 1), (ONE, ONE))
-    rad = Monomial((1, 0), (ONE, KElem.from_gaussian(place.generator)))
+    rad = Monomial((1, 0), (ONE, place.generator))
     action = {e: (e, (idm, idm, idm)), s: (s, (idm, idm, rad))}
     return construct_crossed_product(LocalBase((delta,) * 3), group, CrossedProductDatum(action))
 

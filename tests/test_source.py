@@ -144,8 +144,6 @@ def test_public_names_are_used():
 # class's method of that name is called; a method only gets a listing with a
 # caller.
 SHARED_NAME_CALLERS = {
-    "base_rings.GaussianInt.is_zero": "base_rings.gaussian_gcd",
-    "base_rings.KElem.is_zero": "base_rings.kelem_valuation",
     "base_rings.KElem.of": "oracle.flatten",
     "oracle._Alg.of": "oracle.radical_mod_m",
     "pic.PicClass.of": "cli._class_representative",
