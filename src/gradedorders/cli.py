@@ -574,8 +574,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_place(argv: list) -> list:
+    """argparse reads a separate value that starts with '-' (as in
+    `--place -2-i`) as an option, so such a value joins `--place=`."""
+    out = []
+    for a in argv:
+        if out and out[-1] == "--place" and a.startswith("-") and not a.startswith("--"):
+            out[-1] = f"--place={a}"
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_place(sys.argv[1:] if argv is None else argv))
     t0 = time.monotonic()
     args._elapsed = lambda: time.monotonic() - t0
     try:

@@ -5,9 +5,13 @@ over the completed base ring: basis elements are matrix units scaled by
 uniformizer powers, one per component entry, tagged with the grade.  The
 radical of the reduction mod m is found by the characteristic-polynomial
 coefficient chain (valid in small characteristic, where the plain trace
-form fails), certified by nilpotency and by a re-run on the quotient.
-Hereditariness is then radical invertibility, decided by linear algebra
-over the residue field at the A/mA and m^-1*A/A levels.
+form fails), certified as an ideal, as nilpotent by squaring (J, J^2,
+J^4, ... shrinks to 0) and by a re-run on the quotient.  The chain
+computes Hessenberg characteristic polynomials only for the pair
+products whose left multiplication is not nilpotent, which a few
+squarings decide; a nilpotent one has x^n, so the screen changes no
+coefficient.  Hereditariness is then radical invertibility, decided by
+linear algebra over the residue field at the A/mA and m^-1*A/A levels.
 
 All linear algebra runs over the prime field F_p, in NumPy arrays of
 residues.  At an inert Gaussian prime the completed order is read as a
@@ -371,6 +375,25 @@ def _batched_charpoly(h, p):
     return polys[:, n, :]
 
 
+def _nilpotent(m, p):
+    """Which matrices of the stack m (B, s, s) are nilpotent mod p: M^s
+    vanishes, which ceil(log2 s) squarings decide.  A matrix is dropped
+    as soon as its power is zero, so only the others are squared on."""
+    b, s = len(m), m.shape[-1]
+    idx = np.arange(b)
+    e = 1  # m holds the e-th powers
+    while True:
+        nz = m.reshape(len(m), s * s).any(axis=1)
+        m, idx = m[nz], idx[nz]
+        if e >= s or not len(idx):
+            break
+        m = _matmul(m, m, p)
+        e *= 2
+    out = np.ones(b, dtype=bool)
+    out[idx] = False
+    return out
+
+
 def _poly_mul_batch(a, b, p):
     bsz, la = a.shape
     lb = b.shape[1]
@@ -453,26 +476,41 @@ class _Alg:
     def pair_coeffs(self, v):
         """Full characteristic polynomials of left multiplication by the
         products v_k * v_l, for k <= l, via the block splitting of the
-        regular representation."""
+        regular representation.
+
+        Left multiplication is block-diagonal over block_maps, so its
+        characteristic polynomial is the product of the blocks' and is
+        x^n exactly when every block is nilpotent.  Such pairs (the zero
+        products, and most others when v spans little more than the
+        radical) keep the row x^n without a Hessenberg reduction; the
+        screen decides nilpotency exactly, so no coefficient can change.
+        One block's matrices at a time are built and screened."""
         p, n = self.p, self.n
         d = len(v)
         z = self.products(v, v).reshape(d, d, n)
         ku, lu = np.triu_indices(d)
         zall = z[ku, lu]  # (P, n)
-        # a zero product has charpoly x^n, whose lower coefficients all
-        # vanish; skip those pairs (most of them, when v is near-standard)
-        live = zall.any(axis=1)
+        live = np.flatnonzero(zall.any(axis=1))
         zp = zall[live]
+        # per block: the live pairs not nilpotent there, and their matrices
+        hot, survive = [], np.zeros(len(zp), dtype=bool)
+        for s, tc in self.block_maps:
+            m = _matmul(zp, tc, p).reshape(len(zp), s, s)
+            keep = ~_nilpotent(m, p)
+            survive |= keep
+            hot.append((s, keep, m[keep]))
+        part = np.ones((int(survive.sum()), 1), dtype=self.dtype)
+        for s, keep, m in hot:
+            if keep.any():
+                # x^s on the survivors nilpotent in this block
+                cp = np.zeros((len(zp), s + 1), dtype=self.dtype)
+                cp[:, s] = 1
+                cp[keep] = _batched_charpoly(m, p)
+                part = _poly_mul_batch(cp[survive], part, p)
         coeffs = np.zeros((len(ku), n + 1), dtype=self.dtype)
         coeffs[:, n] = 1
-        part = np.ones((len(zp), 1), dtype=self.dtype)
-        for s, tc in self.block_maps:
-            if s == 0 or len(zp) == 0:
-                continue
-            mc = _matmul(zp, tc, p).reshape(-1, s, s)
-            part = _poly_mul_batch(part, _batched_charpoly(mc, p), p)
-        if len(zp):
-            coeffs[live, : part.shape[1]] = part
+        # blocks nilpotent on every survivor only shift its coefficients up
+        coeffs[live[survive], n + 1 - part.shape[1] :] = part
         return coeffs, (ku, lu)
 
 
@@ -499,6 +537,11 @@ def _radical_chain(alg: _Alg):
 
 
 def _certify(alg: _Alg, basis, pivots):
+    """Check that the span J of a reduced-echelon basis is a nilpotent
+    ideal, or raise OracleError.  Nilpotency is certified by squaring:
+    J^(2k) = J^k * J^k, so the chain J, J^2, J^4, ... must shrink
+    strictly at every step until it reaches 0 (a nilpotent J^k != 0
+    never equals J^(2k))."""
     p, n = alg.p, alg.n
     if len(basis) == 0:
         return
@@ -513,7 +556,7 @@ def _certify(alg: _Alg, basis, pivots):
     for _ in range(n + 1):
         if len(s) == 0:
             break
-        nxt = _row_basis(alg.products(s, basis), p)[0]
+        nxt = _row_basis(alg.products(s, s), p)[0]
         if len(nxt) >= len(s):
             raise OracleError("radical certification failed: not nilpotent")
         s = nxt
@@ -550,8 +593,10 @@ def _quotient(alg: _Alg, basis, pivots) -> _Alg:
 
 def radical_mod_m(A: StructureConstantOrder):
     """Basis of the Jacobson radical of A/mA over F_p (over the doubled
-    basis at an inert place), certified by nilpotency, the ideal property,
-    and a zero re-run on the quotient algebra."""
+    basis at an inert place), certified by the ideal property, by
+    nilpotency (squaring, see _certify), and by a zero re-run on the
+    quotient algebra.  Both chains screen out nilpotent pair products
+    before any characteristic polynomial (see _Alg.pair_coeffs)."""
     alg = _Alg.of(A)
     p = alg.p
     basis, pivots = _row_basis(_radical_chain(alg), p)

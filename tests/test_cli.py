@@ -453,6 +453,9 @@ class TestPlaceOption:
         code, out, _ = run(capsys, "classify", path, f"--place={text}", "--json")
         assert code == 0
         assert json.loads(out)["report"]["context"] == f"at {place}"
+        # a separate value names the same place, even one argparse alone
+        # would read as an option (-2-i)
+        assert run(capsys, "classify", path, "--place", text, "--json") == (0, out, "")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -462,13 +465,15 @@ class TestPlaceOption:
             ("1", "1 is not a rational prime"),
             ("0", "0 is not a rational prime"),
             ("2+2i", "8 is not a rational prime"),
+            ("-2", "cannot identify the place of '-2'"),
         ],
     )
     def test_non_prime_exit_two(self, tmp_path, capsys, text, message):
         path = write(tmp_path, load_fixture("outer"))
-        code, out, err = run(capsys, "classify", path, f"--place={text}")
-        assert (code, out) == (2, "")
-        assert err == f"error: prime: {message}\n"
+        for args in ([f"--place={text}"], ["--place", text]):
+            code, out, err = run(capsys, "classify", path, *args)
+            assert (code, out) == (2, "")
+            assert err == f"error: prime: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -30,11 +31,31 @@ from gradedorders.tiled import validate_global_order
 
 M2 = maximal_ideals_above(ZZ, 2)[0]
 M3 = maximal_ideals_above(ZZ, 3)[0]
+P5, Q5 = maximal_ideals_above(ZI, 5)
 G1 = cyclic_group(1)
 
 
 def flat_tiled(exp: ExponentMatrix):
     return flatten(graded_order(G1, LocalBase((exp,)), {}), exp.place)
+
+
+def group_ring(m):
+    # Z_(p)[C_2] over the hereditary staircase (1, 1): wild at p = 2
+    g2 = cyclic_group(2)
+    base = LocalBase((hereditary_staircase((1, 1), ZZ, m),))
+    return flatten(graded_order(g2, base, {g2.elements[1]: identity_component(base)}), m)
+
+
+def gaussian_outer(n):
+    # the n x n Gaussian staircase at both places over 5, graded by the
+    # Picard class of (2+1i): the bundled 'outer' order at n = 5
+    st = hereditary_staircase((1,) * n)
+    rows = [
+        [FractionalIdealR.from_factors(ZI, {P5: st.entries[i][j], Q5: st.entries[i][j]}) for j in range(n)]
+        for i in range(n)
+    ]
+    delta = validate_global_order(ZI, rows)
+    return construct_from_pic(delta, construct_class_representative(delta, PicClass.of({Q5: 1})))
 
 
 class TestFlatten:
@@ -141,24 +162,12 @@ class TestHereditaryOracle:
         assert not hereditary_oracle(flat_tiled(no))
 
     def test_group_ring_wild_characteristic(self):
-        g2 = cyclic_group(2)
-        delta = hereditary_staircase((1, 1), ZZ, M2)
-        base = LocalBase((delta,))
-        order = graded_order(
-            g2, base, {g2.elements[1]: identity_component(base)}
-        )
-        a = flatten(order, M2)
+        a = group_ring(M2)
         assert a.rank == 8
         assert not hereditary_oracle(a)
 
     def test_group_ring_tame_characteristic(self):
-        g2 = cyclic_group(2)
-        delta = hereditary_staircase((1, 1), ZZ, M3)
-        base = LocalBase((delta,))
-        order = graded_order(
-            g2, base, {g2.elements[1]: identity_component(base)}
-        )
-        assert hereditary_oracle(flatten(order, M3))
+        assert hereditary_oracle(group_ring(M3))
 
     def test_exhaustive_n2(self):
         for entries in itertools.product(range(3), repeat=2):
@@ -179,6 +188,83 @@ class TestReport:
         order = graded_order(G1, LocalBase((hereditary_staircase((1, 1), ZZ, M2),)), {})
         r = oracle_report(order, M2)
         assert set(r) == {"place", "rank", "oracle", "engine", "agree"}
+
+
+def unscreened_pair_coeffs(alg, v):
+    """pair_coeffs without the nilpotency screen: the Hessenberg
+    characteristic polynomial of every pair product on every block."""
+    p, d = alg.p, len(v)
+    ku, lu = np.triu_indices(d)
+    z = alg.products(v, v).reshape(d, d, alg.n)[ku, lu]
+    part = np.ones((len(z), 1), dtype=alg.dtype)
+    for s, tc in alg.block_maps:
+        mc = oracle._matmul(z, tc, p).reshape(len(z), s, s)
+        part = oracle._poly_mul_batch(part, oracle._batched_charpoly(mc, p), p)
+    return part
+
+
+class TestPairScreen:
+    @staticmethod
+    def algebras():
+        (m3i,) = maximal_ideals_above(ZI, 3)
+        (big,) = maximal_ideals_above(ZZ, LARGE_PRIMES[-1])
+        gauss = gaussian_outer(3)
+        yield "staircase (1,1,1) at 2", flat_tiled(hereditary_staircase((1, 1, 1), ZZ, M2))
+        yield "staircase (2,1) at 2", flat_tiled(hereditary_staircase((2, 1), ZZ, M2))
+        yield "staircase (1,1) at inert 3", flat_tiled(hereditary_staircase((1, 1), ZI, m3i))
+        yield "staircase (1,1) at a 33-bit prime", flat_tiled(hereditary_staircase((1, 1), ZZ, big))
+        yield "wild group ring", group_ring(M2)
+        yield "tame group ring", group_ring(M3)
+        yield "rank-27 Gaussian at (1+2i)", flatten(gauss, P5)
+        yield "rank-27 Gaussian at (2+1i)", flatten(gauss, Q5)
+
+    def test_screen_is_exact(self):
+        # the screened coefficients equal a charpoly of every pair product,
+        # for the whole basis, the trace-form kernel the chain starts from,
+        # and the radical
+        seen = set()
+        for name, a in self.algebras():
+            alg = oracle._Alg.of(a)
+            p, n = alg.p, alg.n
+            radical_basis = np.array(radical_mod_m(a), dtype=alg.dtype).reshape(-1, n)
+            for v in (
+                np.eye(n, dtype=alg.dtype),
+                oracle._nullspace(alg.trace_matrix().T, p),
+                radical_basis,
+            ):
+                if not len(v):
+                    continue
+                coeffs, (ku, lu) = alg.pair_coeffs(v)
+                assert (coeffs == unscreened_pair_coeffs(alg, v)).all(), name
+                d = len(v)
+                live = alg.products(v, v).reshape(d, d, n)[ku, lu].any(axis=1)
+                xn = ~coeffs[:, :n].any(axis=1)
+                seen.add("no live pair" if not live.any() else "all live nilpotent" if xn.all() else "survivors")
+        assert seen == {"no live pair", "all live nilpotent", "survivors"}
+
+    def test_nilpotent_screen(self):
+        p = 5
+        shift = np.eye(4, k=1, dtype=np.int64)  # nilpotent of index 4
+        stack = np.stack([np.zeros((4, 4), np.int64), shift, shift + np.eye(4, k=-3, dtype=np.int64), 5 * shift])
+        assert oracle._nilpotent(stack, p).tolist() == [True, True, False, True]
+        assert oracle._nilpotent(stack[:0], p).tolist() == []
+
+
+class TestCertify:
+    def test_whole_algebra_is_not_nilpotent(self):
+        alg = oracle._Alg.of(flat_tiled(validate_order([[0, 0], [0, 0]], ZZ, M3)))
+        basis, pivots = oracle._row_basis(np.eye(alg.n, dtype=alg.dtype), alg.p)
+        with pytest.raises(oracle.OracleError, match="not nilpotent"):
+            oracle._certify(alg, basis, pivots)
+
+    def test_subspace_that_is_not_an_ideal(self):
+        # the span of the matrix unit e_11 of M_2(F_3)
+        a = flat_tiled(validate_order([[0, 0], [0, 0]], ZZ, M3))
+        assert a.labels[0][2:] == (0, 0)
+        alg = oracle._Alg.of(a)
+        basis, pivots = oracle._row_basis(np.eye(alg.n, dtype=alg.dtype)[:1], alg.p)
+        with pytest.raises(oracle.OracleError, match="not an ideal"):
+            oracle._certify(alg, basis, pivots)
 
 
 LARGE_PRIMES = (100000007, 2**31 - 1, 4294967311)
