@@ -544,56 +544,9 @@ def _norm(ring: BaseRing, z: KElem) -> int:
     return abs(z.a) if ring == ZZ else z.a * z.a + z.b * z.b
 
 
-def ideal_generators(ring: BaseRing, obj) -> list[tuple[KElem, int]]:
-    """Read {"gen": "..."} or {"factors": [["gen", e], ...]} as (generator,
-    exponent) pairs, without factoring anything."""
-    if not isinstance(obj, dict):
-        raise RingError(f"ideal must be an object, got {obj!r}")
-    if "gen" in obj:
-        return [(_parse_elem(ring, obj["gen"]), 1)]
-    if "factors" in obj:
-        factors = obj["factors"]
-        if not isinstance(factors, list) or not all(
-            isinstance(f, list) and len(f) == 2 and type(f[1]) is int for f in factors
-        ):
-            raise RingError("ideal factors must be a list of [generator, integer exponent] pairs")
-        out = []
-        for gen, e in factors:
-            check_exponent(e)
-            out.append((_parse_elem(ring, gen), e))
-        return out
-    raise RingError("ideal object needs 'gen' or 'factors'")
-
-
-def ideal_from_json(ring: BaseRing, obj) -> FractionalIdealR:
-    """Parse {"gen": "..."} or {"factors": [["gen", e], ...]}."""
-    out = FractionalIdealR.one(ring)
-    for z, e in ideal_generators(ring, obj):
-        out = out * (FractionalIdealR.principal(ring, z) ** e)
-    return out
-
-
 def check_factoring_budget(ring: BaseRing, gens) -> None:
     """Generators of one input with a norm above LARGE_NORM are bounded by
     MAX_LARGE_GENERATORS, so factoring them all stays within seconds."""
     large = sum(_norm(ring, z) > LARGE_NORM for z in gens)
     if large > MAX_LARGE_GENERATORS:
         raise RingError(f"{large} generators of norm above 2**32 exceed cap {MAX_LARGE_GENERATORS}")
-
-
-def check_exponent(e: int) -> None:
-    """Valuations read from input are bounded by MAX_EXPONENT."""
-    if abs(e) > MAX_EXPONENT:
-        raise RingError(f"exponent {e} exceeds cap {MAX_EXPONENT}")
-
-
-def ideal_to_json(ideal: FractionalIdealR) -> dict:
-    return {"factors": [[str(m.generator), e] for m, e in ideal.factors]}
-
-
-def _parse_elem(ring: BaseRing, s) -> KElem:
-    # a JSON boolean is not an integer: as the text "True" it is refused
-    z = KElem.of(s) if type(s) is int else parse_gaussian(str(s))
-    if ring == ZZ and z.b != 0:
-        raise NotInRing(f"{s!r} is not an element of Z")
-    return z

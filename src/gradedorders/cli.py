@@ -20,15 +20,15 @@ from importlib import resources
 from .base_rings import (
     ZZ,
     ZI,
+    MAX_EXPONENT,
     BaseRing,
+    FractionalIdealR,
+    KElem,
     MaximalIdeal,
     RingError,
     _norm,
-    check_exponent,
     check_factoring_budget,
     element_valuation,
-    ideal_from_json,
-    ideal_generators,
     maximal_ideals_above,
     parse_gaussian,
     place_key,
@@ -51,8 +51,9 @@ from .graded import (
 )
 from .groups import (
     MAX_DEGREE,
+    FiniteGroup,
     GroupError,
-    group_from_json,
+    Perm,
     perm_from_cycles,
     perm_to_cycles,
     sylow_subgroup,
@@ -87,7 +88,120 @@ class InputError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON parsing
+# JSON input
+#
+# Only this module knows the input format.  Every value is read by one of
+# the typed readers below, and each refusal is an InputError whose text
+# starts with the field it names.  A refusal text is a str.format template
+# over the value read and the bounds lo and hi.
+
+_INTEGER = "expected an integer, got {value!r}"
+_MATRIX = "expected a matrix (list of lists)"
+# (lo, hi, refusal) of the bounded integers read in several fields
+_EXPONENT = (-MAX_EXPONENT, MAX_EXPONENT, "exponent {value} exceeds cap {hi}")
+_DIMENSION = (None, MAX_DIMENSION, "dimension {value} exceeds cap {hi}")
+
+
+def _integer(value, field: str, refusal: str = _INTEGER) -> int:
+    """An integer; a JSON boolean is not one."""
+    if type(value) is not int:
+        raise InputError(f"{field}: " + refusal.format(value=value))
+    return value
+
+
+def _bounded(value, field: str, lo: int | None, hi: int | None, refusal: str) -> int:
+    """An integer from lo to hi; None leaves that side open."""
+    n = _integer(value, field)
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        raise InputError(f"{field}: " + refusal.format(value=n, lo=lo, hi=hi))
+    return n
+
+
+def _object(value, field: str, refusal: str = "expected an object", of=None) -> dict:
+    """A JSON object; `of`, another reader, reads each of its values."""
+    if not isinstance(value, dict):
+        raise InputError(f"{field}: " + refusal.format(value=value))
+    for v in value.values() if of else ():
+        of(v, field, refusal)
+    return value
+
+
+def _list(value, field: str, refusal: str, of=None) -> list:
+    """A JSON list; `of`, another reader, reads each of its items."""
+    if not isinstance(value, list):
+        raise InputError(f"{field}: " + refusal.format(value=value))
+    for v in value if of else ():
+        of(v, field, refusal)
+    return value
+
+
+def _matrix(value, field: str, exponents: bool = False) -> list[list]:
+    """At most MAX_DIMENSION rows, with exponents for entries if asked."""
+    rows = _list(value, field, _MATRIX, of=_list)
+    _bounded(len(rows), field, *_DIMENSION)
+    for row in rows if exponents else ():
+        for x in row:
+            _bounded(x, field, *_EXPONENT)
+    return rows
+
+
+def _cycle(value, degree: int, field: str) -> Perm:
+    """A permutation of `degree` points in 1-based cycle notation, "(1 2)(3 4)"."""
+    try:
+        return perm_from_cycles(value, degree)
+    except GroupError as e:
+        raise InputError(f"{field}: {e}") from None
+
+
+def _scalar(value, field: str, ring: BaseRing) -> KElem:
+    """An element of the ring: a JSON integer, or text such as "5", "1+2i"
+    or "-i" (over Z without an imaginary part)."""
+    try:
+        z = parse_gaussian(str(value))
+    except RingError as e:
+        raise InputError(f"{field}: {e}") from None
+    if ring == ZZ and z.b:
+        raise InputError(f"{field}: {value!r} is not an element of Z")
+    return z
+
+
+def _group(value) -> FiniteGroup:
+    """{"degree": d, "gens": [cycle strings]}: the group the generators span."""
+    refusal = "expected an object with an integer degree"
+    degree = _integer(_object(value, "group", refusal).get("degree"), "group", refusal)
+    degree = _bounded(degree, "group.degree", 1, MAX_DEGREE, "expected a degree from {lo} to {hi}, got {value}")
+    gens = _list(value.get("gens", []), "group.gens", "expected a list of cycle strings")
+    return FiniteGroup(degree, tuple(_cycle(s, degree, "group.gens") for s in gens))
+
+
+def _ideal_factors(ring: BaseRing, value) -> list[tuple[KElem, int]]:
+    """An ideal, {"gen": g} or {"factors": [[g, e], ...]}, as (generator,
+    exponent) pairs, without factoring anything."""
+    cell = _object(value, "entries", "ideal must be an object, got {value!r}")
+    if "gen" in cell:
+        pairs = [(cell["gen"], 1)]
+    elif "factors" in cell:
+        refusal = "ideal factors must be a list of [generator, integer exponent] pairs"
+        pairs = _list(cell["factors"], "entries", refusal, of=_list)
+        if any(len(f) != 2 for f in pairs):
+            raise InputError(f"entries: {refusal}")
+        for _, e in pairs:
+            _integer(e, "entries", refusal)
+    else:
+        raise InputError("entries: ideal object needs 'gen' or 'factors'")
+    out = []
+    for gen, e in pairs:
+        e = _bounded(e, "entries", *_EXPONENT)
+        out.append((_scalar(gen, "entries", ring), e))
+    return out
+
+
+def _ideal(ring: BaseRing, factors) -> FractionalIdealR:
+    """The product of the generators' principal ideals to their exponents."""
+    out = FractionalIdealR.one(ring)
+    for z, e in factors:
+        out = out * FractionalIdealR.principal(ring, z) ** e
+    return out
 
 
 def _parse_ring(obj) -> BaseRing:
@@ -120,59 +234,17 @@ def _parse_place(ring: BaseRing, text: str) -> MaximalIdeal:
     raise InputError(f"prime: cannot identify the place of {text!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _as_int(value, field: str) -> int:
-    if not _is_int(value):
-        raise InputError(f"{field}: expected an integer, got {value!r}")
-    return value
-
-
-def _exponent(value, field: str) -> int:
-    try:
-        check_exponent(_as_int(value, field))
-    except RingError as e:
-        raise InputError(f"{field}: {e}") from None
-    return value
-
-
-def _perm(text, degree: int, field: str):
-    try:
-        return perm_from_cycles(text, degree)
-    except GroupError as e:
-        raise InputError(f"{field}: {e}") from None
-
-
-def _matrix(value, field: str, exponents: bool = False) -> list[list]:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise InputError(f"{field}: expected a matrix (list of lists)")
-    _check_dimension(len(value), field)
-    if exponents:
-        for row in value:
-            for x in row:
-                _exponent(x, field)
-    return value
-
-
-def _check_dimension(n: int, field: str) -> None:
-    if n > MAX_DIMENSION:
-        raise InputError(f"{field}: dimension {n} exceeds cap {MAX_DIMENSION}")
-
-
 def parse_tiled_local(obj) -> ExponentMatrix:
     ring = _parse_ring(obj)
     if "prime" not in obj:
         raise InputError("prime: required for a local tiled order")
     place = _parse_place(ring, str(obj["prime"]))
     if "staircase" in obj:
-        blocks = obj["staircase"]
-        if not isinstance(blocks, list) or not blocks or not all(
-            _is_int(b) and b > 0 for b in blocks
-        ):
-            raise InputError("staircase: expected a non-empty list of positive block sizes")
-        _check_dimension(sum(blocks), "staircase")
+        refusal = "expected a non-empty list of positive block sizes"
+        blocks = _list(obj["staircase"], "staircase", refusal, of=_integer)
+        # an empty staircase has no positive block
+        _bounded(min(blocks, default=0), "staircase", 1, None, refusal)
+        _bounded(sum(blocks), "staircase", *_DIMENSION)
         return hereditary_staircase(tuple(blocks), ring, place)
     try:
         return validate_order(_matrix(obj.get("entries"), "entries", exponents=True), ring, place)
@@ -181,38 +253,31 @@ def parse_tiled_local(obj) -> ExponentMatrix:
 
 
 def parse_tiled_global(obj) -> GlobalTiledOrder:
-    if not isinstance(obj, dict):
-        raise InputError("input: expected a JSON object")
-    ring = _parse_ring(obj)
-    entries = _matrix(obj.get("entries"), "entries")
+    ring = _parse_ring(_object(obj, "input", "expected a JSON object"))
+    # read and bound every generator before any is factored
+    cells = [[_ideal_factors(ring, cell) for cell in row] for row in _matrix(obj.get("entries"), "entries")]
+    if any(len(row) != len(cells) for row in cells):
+        raise InputError("entries: entries are not an n x n matrix")
     try:
-        # read and bound every generator before any is factored
-        gens = [[ideal_generators(ring, cell) for cell in row] for row in entries]
-        if any(len(row) != len(gens) for row in gens):
-            raise OrderError("entries are not an n x n matrix")
-        check_factoring_budget(ring, (z for row in gens for cell in row for z, _ in cell))
-        rows = [[ideal_from_json(ring, cell) for cell in row] for row in entries]
-        return validate_global_order(ring, rows)
+        check_factoring_budget(ring, (z for row in cells for cell in row for z, _ in cell))
+        return validate_global_order(ring, [[_ideal(ring, cell) for cell in row] for row in cells])
     except (RingError, OrderError) as e:
         raise InputError(f"entries: {e}") from None
 
 
 def _radical_power(delta: ExponentMatrix, spec) -> FractionalIdealMatrix:
     """The grading bimodule of a local pic-construction."""
-    k = _exponent(spec.get("radpower", 1), "radpower")
-    if k < 0:
-        raise InputError(f"radpower: expected a non-negative power, got {k}")
+    k = _bounded(spec.get("radpower", 1), "radpower", *_EXPONENT)
+    k = _bounded(k, "radpower", 0, None, "expected a non-negative power, got {value}")
     return ideal_power(radical(delta), k)
 
 
 def _class_representative(delta: GlobalTiledOrder, spec):
     """The grading bimodule of a global pic-construction, from its Picard
     class table."""
-    table = spec.get("class")
-    if not isinstance(table, dict):
-        raise InputError("class: pic-construction over a global base needs a class table")
+    table = _object(spec.get("class"), "class", "pic-construction over a global base needs a class table")
     classes = {
-        _parse_place(delta.ring, text): _exponent(k, "class") for text, k in table.items()
+        _parse_place(delta.ring, text): _bounded(k, "class", *_EXPONENT) for text, k in table.items()
     }
     try:
         return construct_class_representative(delta, PicClass.of(classes))
@@ -221,48 +286,42 @@ def _class_representative(delta: GlobalTiledOrder, spec):
 
 
 def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
-    group = group_from_json(obj.get("group", {}))
+    group = _group(obj.get("group", {}))
     base = LocalBase((delta,))
     comps = {}
-    table = obj.get("components", {})
-    if not isinstance(table, dict) or not all(isinstance(c, dict) for c in table.values()):
-        raise InputError("components: expected an object of component objects")
+    table = _object(obj.get("components", {}), "components", "expected an object of component objects", of=_object)
     for key, cobj in table.items():
-        g = _perm(key, group.degree, "components")
+        g = _cycle(key, group.degree, "components")
         if "mats" in cobj:
             mats = cobj["mats"]
         elif "entries" in cobj:
             mats = [cobj["entries"]]
         else:
             raise InputError(f"components: {key} needs 'entries' or 'mats'")
-        if not isinstance(mats, list):
-            raise InputError(f"components: {key}: expected a list of matrices")
-        perm = cobj.get("perm", [0])
-        if not isinstance(perm, list) or not all(_is_int(i) for i in perm):
-            raise InputError(f"components: {key}: expected 'perm' to be a list of integers")
+        field = f"components: {key}"
+        _list(mats, field, "expected a list of matrices")
+        perm = _list(cobj.get("perm", [0]), field, "expected 'perm' to be a list of integers", of=_integer)
         comps[g] = LocalComponent(
             tuple(perm),
             tuple(tuple(map(tuple, _matrix(mat, "components", exponents=True))) for mat in mats),
         )
+    refusal = "expected an object mapping 'g|h' to a list of scalars"
+    table = _object(obj.get("gamma", {}), "gamma", refusal, of=_list)
+    if any(key.count("|") != 1 for key in table):
+        raise InputError(f"gamma: {refusal}")
     gamma = {}
-    table = obj.get("gamma", {})
-    if not isinstance(table, dict) or not all(
-        key.count("|") == 1 and isinstance(v, list) for key, v in table.items()
-    ):
-        raise InputError("gamma: expected an object mapping 'g|h' to a list of scalars")
     for key, scalars in table.items():
         gk, hk = key.split("|")
-        g = _perm(gk, group.degree, "gamma")
-        h = _perm(hk, group.degree, "gamma")
-        gamma[(g, h)] = tuple(parse_gaussian(str(s)) for s in scalars)
+        pair = (_cycle(gk, group.degree, "gamma"), _cycle(hk, group.degree, "gamma"))
+        gamma[pair] = tuple(_scalar(s, "gamma", delta.ring) for s in scalars)
+        if any(z.is_zero() for z in gamma[pair]):
+            raise InputError(f"gamma: {key}: a scalar is zero")
     return graded_order(group, base, comps, gamma)
 
 
 def _parse_crossed(obj, delta: ExponentMatrix) -> GradedOrder:
-    copies = _as_int(obj.get("copies", 1), "copies")
-    if copies < 1:
-        raise InputError(f"copies: expected a positive count, got {copies}")
-    group = group_from_json(obj.get("group", {}))
+    copies = _bounded(obj.get("copies", 1), "copies", 1, None, "expected a positive count, got {value}")
+    group = _group(obj.get("group", {}))
     if group.degree != copies:
         raise InputError("group: degree must match the number of summands")
     base = LocalBase(tuple(delta for _ in range(copies)))
@@ -272,20 +331,17 @@ def _parse_crossed(obj, delta: ExponentMatrix) -> GradedOrder:
 
 
 def parse_graded(obj) -> GradedOrder:
-    if not isinstance(obj, dict):
-        raise InputError("input: expected a JSON object")
+    obj = _object(obj, "input", "expected a JSON object")
     kind = obj.get("kind", "pic-construction")
-    dobj = obj.get("delta", {})
-    if not isinstance(dobj, dict):
-        raise InputError("delta: expected an object")
+    dobj = _object(obj.get("delta", {}), "delta")
     local = "prime" in dobj or "staircase" in dobj
     delta = parse_tiled_local(dobj) if local else parse_tiled_global(dobj)
     if kind == "pic-construction":
         x = _radical_power(delta, obj) if local else _class_representative(delta, obj)
         n = obj.get("n")
-        if n is not None and _as_int(n, "n") > MAX_DEGREE:
+        if n is not None:
             # the cyclic group of order n permutes n points
-            raise InputError(f"n: order {n} exceeds cap {MAX_DEGREE}")
+            n = _bounded(n, "n", None, MAX_DEGREE, "order {value} exceeds cap {hi}")
         return construct_from_pic(delta, x, n)
     if kind == "crossed-product":
         if not local:
@@ -296,6 +352,14 @@ def parse_graded(obj) -> GradedOrder:
             raise InputError("kind: explicit graded orders are supported over local bases")
         return _parse_explicit(obj, delta)
     raise InputError(f"kind: unknown construction {kind!r}")
+
+
+def ideal_to_json(ideal: FractionalIdealR) -> dict:
+    return {"factors": [[str(m.generator), e] for m, e in ideal.factors]}
+
+
+def group_to_json(g: FiniteGroup) -> dict:
+    return {"degree": g.degree, "gens": [perm_to_cycles(p) for p in g.generators]}
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +420,8 @@ def _load(path: str):
         raise InputError(f"cannot read {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON at line {e.lineno}") from None
-    except ValueError as e:  # an integer literal past the digit limit
+    # an integer literal past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
 
 
@@ -487,8 +552,7 @@ def _assertions_nonbasic(raw):
 def _assertions_semiprime(raw, d: int):
     raw = dict(raw)
     raw["copies"] = d
-    g = symmetric_group(d)
-    raw["group"] = {"degree": d, "gens": [perm_to_cycles(p) for p in g.generators]}
+    raw["group"] = group_to_json(symmetric_group(d))
     order = parse_graded(raw)
     yield "strongly graded", validate_strong_grading(order)[0]
     orbits = orbit_decompose(order)

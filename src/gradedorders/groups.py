@@ -318,22 +318,3 @@ def orbits_and_stabilizers(action: GroupAction) -> list[OrbitData]:
 def permutation_action(group: FiniteGroup) -> GroupAction:
     """The natural action of a permutation group on its points."""
     return GroupAction(group, group.degree, lambda g, x: g[x])
-
-
-def group_to_json(g: FiniteGroup) -> dict:
-    return {"degree": g.degree, "gens": [perm_to_cycles(p) for p in g.generators]}
-
-
-def group_from_json(obj) -> FiniteGroup:
-    if not isinstance(obj, dict) or type(obj.get("degree")) is not int:
-        raise GroupError("group: expected an object with an integer degree")
-    degree = obj["degree"]
-    if not 1 <= degree <= MAX_DEGREE:
-        raise GroupError(f"group.degree: expected a degree from 1 to {MAX_DEGREE}, got {degree}")
-    gens = obj.get("gens", [])
-    if not isinstance(gens, list):
-        raise GroupError("group.gens: expected a list of cycle strings")
-    try:
-        return FiniteGroup(degree, tuple(perm_from_cycles(s, degree) for s in gens))
-    except GroupError as e:
-        raise GroupError(f"group.gens: {e}") from None

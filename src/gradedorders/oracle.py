@@ -545,23 +545,23 @@ def _certify(alg: _Alg, basis, pivots):
     p, n = alg.p, alg.n
     if len(basis) == 0:
         return
-    # ideal property: B*rad and rad*B stay inside rad; a vector x lies in
+    # ideal property: B*rad, then rad*B, stay inside rad; a vector x lies in
     # the span of a reduced basis exactly when x[pivots] @ basis == x
-    for left in (True, False):
-        prods = alg.mult(basis, left).reshape(-1, n)
+    for left in (False, True):
+        mult = alg.mult(basis, left)
+        prods = mult.reshape(-1, n)
         if ((prods - _matmul(prods[:, pivots], basis, p)) % p).any():
             raise OracleError("radical certification failed: not an ideal")
-    # nilpotency
-    s = basis
-    for _ in range(n + 1):
-        if len(s) == 0:
-            break
-        nxt = _row_basis(alg.products(s, s), p)[0]
+    # nilpotency; the left tensor, built last, gives J^2 as alg.products would
+    s, prods = basis, _matmul(basis[None], mult, p).reshape(-1, n)
+    del mult
+    while True:
+        nxt = _row_basis(prods, p)[0]
         if len(nxt) >= len(s):
             raise OracleError("radical certification failed: not nilpotent")
-        s = nxt
-    else:
-        raise OracleError("radical certification failed: not nilpotent")
+        if len(nxt) == 0:
+            return
+        s, prods = nxt, alg.products(nxt, nxt)
 
 
 def _quotient(alg: _Alg, basis, pivots) -> _Alg:

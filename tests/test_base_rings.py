@@ -22,8 +22,6 @@ from gradedorders.base_rings import (
     element_valuation,
     factor_rational_prime,
     factorint,
-    ideal_from_json,
-    ideal_to_json,
     kelem_valuation,
     maximal_ideals_above,
     normalize_scalar,
@@ -304,15 +302,3 @@ class TestFractionalIdeal:
         # 1/2 has a unit numerator: without the check it would give the unit ideal
         with pytest.raises(RingError, match=r"^1/2 is not an element of the ring$"):
             FractionalIdealR.principal(ZI, KElem(Fraction(1, 2)))
-
-    def test_json_roundtrip(self):
-        p, q = maximal_ideals_above(ZI, 5)
-        a = FractionalIdealR.from_factors(ZI, {p: 2, q: -1})
-        b = ideal_from_json(ZI, ideal_to_json(a))
-        assert a.factors == b.factors
-
-    def test_json_gen(self):
-        a = ideal_from_json(ZZ, {"gen": 12})
-        (m2,) = maximal_ideals_above(ZZ, 2)
-        (m3,) = maximal_ideals_above(ZZ, 3)
-        assert valuation(a, m2) == 2 and valuation(a, m3) == 1

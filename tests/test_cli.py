@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from sympy import nextprime
 
 from gradedorders import base_rings
-from gradedorders.cli import load_fixture, main
+from gradedorders.base_rings import ZI, ZZ, FractionalIdealR, maximal_ideals_above, valuation
+from gradedorders.cli import _group, _ideal, _ideal_factors, group_to_json, ideal_to_json, load_fixture, main
+from gradedorders.groups import symmetric_group
 
 
 def run(capsys, *argv):
@@ -81,7 +83,7 @@ class TestLongNumerals:
         spec["gamma"] = {"(1 2)|(1 2)": [LONG_NUMERAL + "i"]}
         code, _, err = run(capsys, "check", write(tmp_path, spec))
         assert code == 2
-        assert err.startswith("error: cannot parse Gaussian integer: too long (")
+        assert err.startswith("error: gamma: cannot parse Gaussian integer: too long (")
 
 
 class TestCheck:
@@ -102,6 +104,22 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200000,
+            '{"delta": {"ring": %s, "prime": "2", "staircase": [1, 1]}}' % ("[" * 990 + "]" * 990),
+            json.dumps({**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": "@"}}).replace('"@"', "[" * 990 + "]" * 990),
+        ],
+        ids=["open-lists", "ring-990-deep", "gamma-990-deep"],
+    )
+    def test_deep_nesting_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: invalid JSON: ")
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -201,6 +219,9 @@ class TestCheck:
                     "group": {"degree": True, "gens": []},
                 },
             ),
+            ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": [[1]]}}),
+            ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": ["0"]}}),
+            ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": ["i"]}}),
         ],
         ids=[
             "ring",
@@ -225,6 +246,9 @@ class TestCheck:
             "entries-oversize",
             "entries-gen-bool",
             "group.degree-bool",
+            "gamma-scalar-list",
+            "gamma-scalar-zero",
+            "gamma-scalar-gaussian",
         ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):
@@ -248,6 +272,27 @@ class TestCheck:
         rep = json.loads(out1)
         assert rep["schema_version"] == "1"
         assert rep["report"]["hereditary"] is True
+
+
+class TestIdealFormat:
+    def test_json_roundtrip(self):
+        p, q = maximal_ideals_above(ZI, 5)
+        a = FractionalIdealR.from_factors(ZI, {p: 2, q: -1})
+        b = _ideal(ZI, _ideal_factors(ZI, ideal_to_json(a)))
+        assert a.factors == b.factors
+
+    def test_json_gen(self):
+        a = _ideal(ZZ, _ideal_factors(ZZ, {"gen": 12}))
+        (m2,) = maximal_ideals_above(ZZ, 2)
+        (m3,) = maximal_ideals_above(ZZ, 3)
+        assert valuation(a, m2) == 2 and valuation(a, m3) == 1
+
+
+class TestGroupFormat:
+    def test_json_roundtrip(self):
+        g = symmetric_group(3)
+        h = _group(group_to_json(g))
+        assert set(h.elements) == set(g.elements)
 
 
 def refuse_factoring(n):

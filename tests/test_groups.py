@@ -11,8 +11,6 @@ from gradedorders.groups import (
     all_sylow_subgroups,
     conjugate_subgroup,
     cyclic_group,
-    group_from_json,
-    group_to_json,
     identity_perm,
     normalizer,
     orbits_and_stabilizers,
@@ -68,11 +66,6 @@ class TestGroups:
         g = symmetric_group(3)
         els = set(g.elements)
         assert all(pmul(a, b) in els for a in els for b in els)
-
-    def test_json_roundtrip(self):
-        g = symmetric_group(3)
-        h = group_from_json(group_to_json(g))
-        assert set(h.elements) == set(g.elements)
 
 
 class TestSylow:
