@@ -292,6 +292,8 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
     table = _object(obj.get("components", {}), "components", "expected an object of component objects", of=_object)
     for key, cobj in table.items():
         g = _cycle(key, group.degree, "components")
+        if g not in group:
+            raise InputError(f"components: {key} is not in the group")
         if "mats" in cobj:
             mats = cobj["mats"]
         elif "entries" in cobj:
@@ -313,6 +315,8 @@ def _parse_explicit(obj, delta: ExponentMatrix) -> GradedOrder:
     for key, scalars in table.items():
         gk, hk = key.split("|")
         pair = (_cycle(gk, group.degree, "gamma"), _cycle(hk, group.degree, "gamma"))
+        if any(g not in group for g in pair):
+            raise InputError(f"gamma: {key}: a grade is not in the group")
         gamma[pair] = tuple(_scalar(s, "gamma", delta.ring) for s in scalars)
         if any(z.is_zero() for z in gamma[pair]):
             raise InputError(f"gamma: {key}: a scalar is zero")

@@ -13,6 +13,16 @@ squarings decide; a nilpotent one has x^n, so the screen changes no
 coefficient.  Hereditariness is then radical invertibility, decided by
 linear algebra over the residue field at the A/mA and m^-1*A/A levels.
 
+Three kernels work on indices rather than dense arrays, each computing
+exactly what the dense form would.  Flattening numbers each distinct
+scalar and checks associativity on those numbers, multiplying each
+distinct pair once; scalars are equal exactly when their normal forms
+are, so numbers compare as the scalars do.  Products of vectors come
+from the structure constants grouped by target, a sum over the same
+nonzero terms as the dense left multiplication matrix.  The ideal check
+of the certificate skips the pivot columns of the reduced basis, where
+membership holds for every vector.
+
 All linear algebra runs over the prime field F_p, in NumPy arrays of
 residues.  At an inert Gaussian prime the completed order is read as a
 Z_p-order of twice the rank, with basis {e_k, i*e_k} (i is central and
@@ -75,7 +85,8 @@ def _matmul(a, b, mod: int):
     dtype = np.result_type(a, b)
     k = a.shape[-1]
     if k * (mod - 1) ** 2 < 2**53:
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % mod
+        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+        out %= mod
         return out.astype(dtype, copy=False)
     s = (53 - k.bit_length()) // 2
     count = -(-(mod - 1).bit_length() // s)
@@ -161,10 +172,61 @@ class StructureConstantOrder:
         keep = lo != 0
         return e1[keep], e2[keep], tgt[keep], lo[keep]
 
+    @cached_property
+    def residue_algebra(self) -> _Alg:
+        """A/mA over F_p, built once per order, so that the radical and
+        the invertibility test share it and its cached tables."""
+        return _Alg.of(self)
+
+
+def _check_associative(n: int, rows, scalars: list) -> None:
+    """(e1*e2)*e3 == e1*(e2*e3) for every basis triple whose chain e1*e2,
+    e2*e3 is nonzero, or AssociativityFailure naming the first failing
+    triple, ordered by the row of e1*e2 and then by e3 (the order in
+    which flatten makes the products).
+
+    rows holds (e1, e2, target, scalar number) per product; scalars[k] is
+    the scalar numbered k.  The check runs on indices: the triples are
+    index arrays, and each distinct pair of scalar numbers that a side of
+    the identity needs is multiplied once and its product numbered.
+    Scalars are equal exactly when their normal forms are, so the two
+    sides agree exactly when their targets and numbers do."""
+    e1, e2, tgt, sid = rows.T
+    target = np.full((n, n), -1)
+    target[e1, e2] = tgt
+    number = np.full((n, n), -1)
+    number[e1, e2] = sid
+    first, e3 = np.nonzero((target >= 0)[e2])  # product first = e1*e2, and e2*e3 != 0
+    a, b, t12 = e1[first], e2[first], tgt[first]
+    t23 = target[b, e3]
+    lt, rt = target[t12, e3], target[a, t23]
+    # a chain whose other bracketing has no product fails as well (its
+    # key, clipped to 0 below, numbers nothing that is compared)
+    ok = (lt >= 0) & (rt >= 0)
+    size = len(scalars)
+    left = sid[first] * size + number[t12, e3]  # (e1*e2)*e3
+    right = number[b, e3] * size + number[a, t23]  # e1*(e2*e3)
+    keys = np.concatenate([left, right]).clip(0)
+    pairs = np.unique(keys)
+    products: dict[KElem, int] = {}
+    numbered = np.array(
+        [products.setdefault(scalars[k // size] * scalars[k % size], len(products)) for k in pairs.tolist()],
+        dtype=np.intp,
+    )[np.searchsorted(pairs, keys)]
+    bad = np.flatnonzero(~ok | (lt != rt) | (numbered[: len(first)] != numbered[len(first) :]))
+    if len(bad):
+        k = bad[0]
+        raise AssociativityFailure(f"associativity fails on basis triple ({a[k]},{b[k]},{e3[k]})")
+
 
 def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
     """Realize the completion of the graded order at m as a structure
-    constant algebra; associativity is verified exhaustively."""
+    constant algebra; associativity is verified exhaustively.
+
+    Scalars are interned: each (uniformizer exponent, gamma) is multiplied
+    out once and each distinct value numbered, so that the associativity
+    check (see _check_associative) multiplies each distinct pair of
+    numbers once rather than two scalars per basis triple."""
     local = order.localize(m)
     base = local.base
     t = base.t
@@ -196,7 +258,12 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
             cached = powers[e] = gen**e
         return cached
 
+    # each distinct scalar gets a number, so the associativity check can
+    # compare numbers; memo maps (uniformizer exponent, gamma) to both
+    numbers: dict[KElem, int] = {}
+    memo: dict = {}
     products = {}
+    rows = []  # (e1, e2, target, scalar number)
     for e1, (g, b, i, j) in enumerate(labels):
         comp_g = local.components[g]
         bg = comp_g.perm[b]
@@ -205,34 +272,24 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
             comp_h = local.components[h]
             gh = pmul(g, h)
             gamma = local.gamma_at(g, h)[b]
-            unit_gamma = gamma == one
             comp_gh = local.components[gh]
             for j2 in range(sizes[comp_h.perm[bg]]):
                 e2 = index[(h, bg, j, j2)]
                 x2 = comp_h.mats[bg][j][j2]
                 x3 = comp_gh.mats[b][i][j2]
-                scal = gen_pow(x1 + x2 - x3)
-                if not unit_gamma:
-                    scal = scal * gamma
-                products[(e1, e2)] = (index[(gh, b, i, j2)], scal)
+                key = (x1 + x2 - x3, gamma)
+                got = memo.get(key)
+                if got is None:
+                    scal = gen_pow(key[0]) if gamma == one else gen_pow(key[0]) * gamma
+                    got = memo[key] = (scal, numbers.setdefault(scal, len(numbers)))
+                t12 = index[(gh, b, i, j2)]
+                products[(e1, e2)] = (t12, got[0])
+                rows.append((e1, e2, t12, got[1]))
     columns = [[] for _ in range(offs[-1])]
     for k, (g, b, i, j) in enumerate(labels):
         comp = local.components[g]
         columns[offs[comp.perm[b]] + j].append(k)
-    # exhaustive associativity check on basis triples with nonzero chains
-    by_first = {}
-    for (e1, e2), val in products.items():
-        by_first.setdefault(e1, []).append((e2, val))
-    for (e1, e2), (t12, s12) in products.items():
-        for e3, (t23, s23) in by_first.get(e2, []):
-            lt, ls = products[(t12, e3)]
-            rt, rs = products[(e1, t23)]
-            if lt == rt and ls is rs and s12 is s23:
-                continue  # interned scalars: both sides literally agree
-            if lt != rt or s12 * ls != s23 * rs:
-                raise AssociativityFailure(
-                    f"associativity fails on basis triple ({e1},{e2},{e3})"
-                )
+    _check_associative(n_total, np.array(rows, dtype=np.intp).reshape(-1, 4), list(numbers))
     return StructureConstantOrder(m, n_total, labels, products, columns)
 
 
@@ -253,7 +310,7 @@ def _rref(mat, p):
     for c in range(ncols):
         if r >= nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if len(nz) == 0:
             continue
         piv = r + nz[0]
@@ -263,7 +320,7 @@ def _rref(mat, p):
         # rows left of c are already clear, so only columns >= c move
         col = a[:, c].copy()
         col[r] = 0
-        a[:, c:] = (a[:, c:] - np.outer(col, a[r, c:])) % p
+        a[:, c:] = (a[:, c:] - col[:, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -295,7 +352,7 @@ def _row_basis(mat, p):
             if not len(a):
                 break
         chunk, a = a[:ncols], a[ncols:]
-        rr, pivots = _rref(np.vstack([basis, chunk]), p)
+        rr, pivots = _rref(np.concatenate((basis, chunk)), p)
         basis = rr[: len(pivots)]
         if len(pivots) == ncols:
             break
@@ -435,14 +492,51 @@ class _Alg:
     def of(cls, A: StructureConstantOrder) -> _Alg:
         return cls(A.place.residue_char, A.dim, *A.residue_products, A.blocks)
 
+    @cached_property
+    def radical(self):
+        """Reduced-echelon basis of the radical, certified (see
+        radical_mod_m)."""
+        basis, pivots = _row_basis(_radical_chain(self), self.p)
+        _certify(self, basis, pivots)
+        if 0 < len(basis) < self.n and len(_radical_chain(_quotient(self, basis, pivots))):
+            raise OracleError("radical certification failed: quotient has a radical")
+        return basis
+
     def mult(self, vs, left: bool):
         """(len(vs), n, n): row e of entry k is v_k * e_e (left) or
         e_e * v_k (right)."""
         return _mult((self.e1, self.e2, self.tgt, self.coef), vs, left, self.n, self.p)
 
+    @cached_property
+    def by_target(self):
+        """The structure constants grouped by target, as padded (n, w)
+        tables e1, e2, coef: row t lists the pairs with e1 * e2 having a
+        coefficient at e_t, w the most any target has.  A padding slot
+        has coefficient 0."""
+        counts = np.bincount(self.tgt, minlength=self.n)
+        order = np.argsort(self.tgt, kind="stable")
+        rows = self.tgt[order]
+        slots = np.arange(len(order)) - (np.cumsum(counts) - counts)[rows]
+        tables = [np.zeros((self.n, int(counts.max(initial=0))), dtype=np.intp) for _ in range(2)]
+        tables.append(np.zeros(tables[0].shape, dtype=self.dtype))
+        for table, values in zip(tables, (self.e1, self.e2, self.coef)):
+            table[rows, slots] = values[order]
+        return tables
+
     def products(self, u, v):
-        """All products u_k * v_l, as rows indexed by (k, l)."""
-        return _matmul(v[None, :, :], self.mult(u, left=True), self.p).reshape(-1, self.n)
+        """All products u_k * v_l, as rows indexed by (k, l) (a transposed
+        view of the batched result, which every caller copies anyway).
+
+        Coordinate t of u_k * v_l sums coef * u_k[e1] * v_l[e2] over row t
+        of by_target, so all of them are one batched product of (n, d_u, w)
+        by (n, w, d_v) stacks.  That is the sum the dense left
+        multiplication tensor gives, less its zero terms: padding slots
+        have coefficient 0, so no coordinate can change."""
+        e1, e2, coef = self.by_target
+        left = u[:, e1] * coef % self.p  # (d_u, n, w)
+        right = v[:, e2]  # (d_v, n, w)
+        out = _matmul(left.transpose(1, 0, 2), right.transpose(1, 2, 0), self.p)  # (n, d_u, d_v)
+        return out.reshape(self.n, -1).T
 
     def trace_matrix(self):
         p, n = self.p, self.n
@@ -538,30 +632,32 @@ def _radical_chain(alg: _Alg):
 
 def _certify(alg: _Alg, basis, pivots):
     """Check that the span J of a reduced-echelon basis is a nilpotent
-    ideal, or raise OracleError.  Nilpotency is certified by squaring:
-    J^(2k) = J^k * J^k, so the chain J, J^2, J^4, ... must shrink
-    strictly at every step until it reaches 0 (a nilpotent J^k != 0
-    never equals J^(2k))."""
+    ideal, or raise OracleError.
+
+    A vector x lies in J exactly when x == x[pivots] @ basis.  The basis
+    is the identity at its pivots, so that holds there for every x, and
+    the ideal check compares only the other columns.  Nilpotency is
+    certified by squaring: J^(2k) = J^k * J^k, so the chain J, J^2, J^4,
+    ... must shrink strictly at every step until it reaches 0 (a
+    nilpotent J^k != 0 never equals J^(2k)); each J^k * J^k comes from
+    _Alg.products."""
     p, n = alg.p, alg.n
     if len(basis) == 0:
         return
-    # ideal property: B*rad, then rad*B, stay inside rad; a vector x lies in
-    # the span of a reduced basis exactly when x[pivots] @ basis == x
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    # ideal property: B*rad, then rad*B, stay inside rad
     for left in (False, True):
-        mult = alg.mult(basis, left)
-        prods = mult.reshape(-1, n)
-        if ((prods - _matmul(prods[:, pivots], basis, p)) % p).any():
+        prods = alg.mult(basis, left).reshape(-1, n)
+        if ((prods[:, free] - _matmul(prods[:, pivots], basis[:, free], p)) % p).any():
             raise OracleError("radical certification failed: not an ideal")
-    # nilpotency; the left tensor, built last, gives J^2 as alg.products would
-    s, prods = basis, _matmul(basis[None], mult, p).reshape(-1, n)
-    del mult
-    while True:
-        nxt = _row_basis(prods, p)[0]
+    del prods  # a d*n by n array, not to be held through the squaring
+    s = basis
+    while len(s):
+        nxt = _row_basis(alg.products(s, s), p)[0]
         if len(nxt) >= len(s):
             raise OracleError("radical certification failed: not nilpotent")
-        if len(nxt) == 0:
-            return
-        s, prods = nxt, alg.products(nxt, nxt)
+        s = nxt
 
 
 def _quotient(alg: _Alg, basis, pivots) -> _Alg:
@@ -597,24 +693,18 @@ def radical_mod_m(A: StructureConstantOrder):
     nilpotency (squaring, see _certify), and by a zero re-run on the
     quotient algebra.  Both chains screen out nilpotent pair products
     before any characteristic polynomial (see _Alg.pair_coeffs)."""
-    alg = _Alg.of(A)
-    p = alg.p
-    basis, pivots = _row_basis(_radical_chain(alg), p)
-    _certify(alg, basis, pivots)
-    if 0 < len(basis) < alg.n and len(_radical_chain(_quotient(alg, basis, pivots))):
-        raise OracleError("radical certification failed: quotient has a radical")
-    return tuple(tuple(int(x) for x in row) for row in basis)
+    return tuple(map(tuple, A.residue_algebra.radical.tolist()))
 
 
 def hereditary_oracle(A: StructureConstantOrder) -> bool:
     """Invertibility of the radical J of the completed order: J times its
     right dual spans the order, and the left dual times J does too."""
-    rad = radical_mod_m(A)
-    if len(rad) == 0:
+    if not radical_mod_m(A):
         return True  # J = mA, always invertible
-    alg = _Alg.of(A)
+    # the algebra and the radical basis that radical_mod_m computed
+    alg = A.residue_algebra
+    rad = alg.radical
     p, n = alg.p, alg.n
-    rad = _residues(rad, p)
     # x with r*x in mA for every radical vector r, and x with x*r in mA
     rann = _nullspace(alg.mult(rad, True).transpose(0, 2, 1).reshape(-1, n), p)
     lann = _nullspace(alg.mult(rad, False).transpose(0, 2, 1).reshape(-1, n), p)

@@ -222,6 +222,12 @@ class TestCheck:
             ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": [[1]]}}),
             ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": ["0"]}}),
             ("gamma", {**C2_EXPLICIT, "gamma": {"(1 2)|(1 2)": ["i"]}}),
+            # grades outside the group {()}
+            (
+                "gamma",
+                {**C2_EXPLICIT, "group": {"degree": 2, "gens": []}, "components": {}, "gamma": {"(1 2)|(1 2)": ["3"]}},
+            ),
+            ("components", {**C2_EXPLICIT, "group": {"degree": 2, "gens": []}}),
         ],
         ids=[
             "ring",
@@ -249,6 +255,8 @@ class TestCheck:
             "gamma-scalar-list",
             "gamma-scalar-zero",
             "gamma-scalar-gaussian",
+            "gamma-grade-outside-group",
+            "components-key-outside-group",
         ],
     )
     def test_schema_violation_names_field(self, tmp_path, capsys, field, bad):

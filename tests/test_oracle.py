@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import numpy as np
@@ -7,11 +8,13 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from gradedorders import oracle
-from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, maximal_ideals_above
+from gradedorders.base_rings import ZZ, ZI, FractionalIdealR, KElem, maximal_ideals_above
+from gradedorders.cli import main
 from gradedorders.graded import LocalBase, graded_order, identity_component
 from gradedorders.groups import cyclic_group
 from gradedorders.oracle import (
     RANK_CAP,
+    AssociativityFailure,
     RankCapExceeded,
     flatten,
     hereditary_oracle,
@@ -81,6 +84,74 @@ class TestFlatten:
         a = flat_tiled(big)
         assert (a.rank, a.dim) == (36, 72)
         assert hereditary_oracle(a) == is_hereditary_local(big)
+
+    def test_associativity_failure(self, tmp_path, capsys):
+        # gamma(e, g) = 3 but gamma(g, e) = 1 on Z_(2)[C_2] over the
+        # staircase (1, 1): not a cocycle, so the scalars of the two
+        # bracketings of e_0 * e_0 * e_4 differ while their targets agree
+        g2 = cyclic_group(2)
+        e, g = g2.elements
+        base = LocalBase((hereditary_staircase((1, 1), ZZ, M2),))
+        order = graded_order(g2, base, {g: identity_component(base)}, {(e, g): (KElem.of(3),)})
+        with pytest.raises(AssociativityFailure) as failure:
+            flatten(order, M2)
+        assert str(failure.value) == "associativity fails on basis triple (0,0,4)"
+        spec = {
+            "kind": "explicit",
+            "delta": {"ring": "Z", "prime": "2", "staircase": [1, 1]},
+            "group": {"degree": 2, "gens": ["(1 2)"]},
+            "components": {"(1 2)": {"entries": [[0, 0], [1, 0]]}},
+            "gamma": {"()|(1 2)": ["3"]},
+        }
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(spec))
+        assert main(["oracle-check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: associativity fails on basis triple (0,0,4)\n")
+
+    def test_associativity_check_matches_loop(self, monkeypatch):
+        # the index-level check against a loop over the products, on group
+        # rings of C_2 and C_3 with random unit gammas, most of them not
+        # cocycles: the same verdict and the same first failing triple
+        def loop_check(rows, scalars):
+            products = {(e1, e2): (t, scalars[s]) for e1, e2, t, s in rows.tolist()}
+            by_first = {}
+            for (e1, e2), val in products.items():
+                by_first.setdefault(e1, []).append((e2, val))
+            for (e1, e2), (t12, s12) in products.items():
+                for e3, (t23, s23) in by_first.get(e2, []):
+                    lt, ls = products[(t12, e3)]
+                    rt, rs = products[(e1, t23)]
+                    if lt != rt or s12 * ls != s23 * rs:
+                        return f"associativity fails on basis triple ({e1},{e2},{e3})"
+            return None
+
+        seen = []
+        check = oracle._check_associative
+
+        def both(n, rows, scalars):
+            seen.append(loop_check(rows, scalars))
+            check(n, rows, scalars)
+
+        monkeypatch.setattr(oracle, "_check_associative", both)
+        rng = random.Random(3)
+        verdicts = set()
+        for m, units in ((M2, (1, 3, 5, 7, -1)), (M3, (1, 2, 4, 5, -1))):
+            for size, blocks in itertools.product((2, 3), ((1, 1), (2, 1))):
+                grp = cyclic_group(size)
+                base = LocalBase((hereditary_staircase(blocks, ZZ, m),))
+                comps = {g: identity_component(base) for g in grp.elements}
+                for _ in range(4):
+                    pairs = rng.sample(list(itertools.product(grp.elements, repeat=2)), 2)
+                    gamma = {pair: (KElem.of(rng.choice(units)),) for pair in pairs}
+                    try:
+                        flatten(graded_order(grp, base, comps, gamma), m)
+                        got = None
+                    except AssociativityFailure as e:
+                        got = str(e)
+                    assert got == seen[-1], (str(m), size, blocks, gamma)
+                    verdicts.add(got is None)
+        assert verdicts == {True, False}
 
 
 class TestRadical:
@@ -248,6 +319,40 @@ class TestPairScreen:
         stack = np.stack([np.zeros((4, 4), np.int64), shift, shift + np.eye(4, k=-3, dtype=np.int64), 5 * shift])
         assert oracle._nilpotent(stack, p).tolist() == [True, True, False, True]
         assert oracle._nilpotent(stack[:0], p).tolist() == []
+
+
+class TestProducts:
+    @staticmethod
+    def dense_products(alg, u, v):
+        """u_k * v_l from the dense left multiplication tensor, contracted
+        with v in Python integers."""
+        mult = alg.mult(u, left=True).astype(object)  # [k, e, t]: u_k * e_e
+        out = np.tensordot(mult, v.astype(object), axes=([1], [1])) % alg.p  # [k, t, l]
+        return out.transpose(0, 2, 1).reshape(-1, alg.n)
+
+    @staticmethod
+    def algebras():
+        for name, a in TestPairScreen.algebras():
+            yield name, oracle._Alg.of(a)
+        alg = oracle._Alg.of(flatten(gaussian_outer(3), P5))
+        basis, pivots = oracle._row_basis(np.array(radical_mod_m(flatten(gaussian_outer(3), P5))), alg.p)
+        yield "quotient of the rank-27 Gaussian at (1+2i)", oracle._quotient(alg, basis, pivots)
+        none = np.zeros(0, dtype=np.int64)
+        yield "no structure constants", oracle._Alg(5, 3, none, none, none, none, [[0, 1, 2]])
+
+    def test_sparse_products_match_dense(self):
+        rng = random.Random(7)
+        for name, alg in self.algebras():
+            p, n = alg.p, alg.n
+
+            def vectors(count):
+                return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(count)], dtype=alg.dtype)
+
+            eye = np.eye(n, dtype=alg.dtype)
+            for u, v in ((eye, vectors(3)), (vectors(4), eye), (vectors(3), vectors(5))):
+                got = alg.products(u, v)
+                assert got.shape == (len(u) * len(v), n), name
+                assert (got == self.dense_products(alg, u, v)).all(), name
 
 
 class TestCertify:

@@ -88,6 +88,27 @@ def test_float64_only_in_exact_matmul():
     assert found == []
 
 
+def test_matrix_products_only_in_exact_kernels():
+    # a contraction of residues is exact only if its sums are bounded:
+    # _matmul checks the float64 and int64 limits, and _batched_charpoly
+    # bounds its entries itself (see oracle._dtype); every other matrix
+    # product in the oracle goes through _matmul
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    kernels = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in ("_matmul", "_batched_charpoly")]
+    assert len(kernels) == 2
+    allowed = {id(n) for k in kernels for n in ast.walk(k)}
+    found = [
+        f"oracle.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (
+            (isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "einsum", "tensordot"))
+            or (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        )
+    ]
+    assert found == []
+
+
 def test_json_format_only_in_cli():
     # the input format is read and written in one module: no other defines
     # a function whose name mentions json
@@ -160,7 +181,7 @@ def test_public_names_are_used():
 # caller.
 SHARED_NAME_CALLERS = {
     "base_rings.KElem.of": "oracle.flatten",
-    "oracle._Alg.of": "oracle.radical_mod_m",
+    "oracle._Alg.of": "oracle.StructureConstantOrder.residue_algebra",
     "pic.PicClass.of": "cli._class_representative",
     "base_rings.FractionalIdealR.as_dict": "base_rings.valuation",
     "pic.PicClass.as_dict": "pic.construct_class_representative",
