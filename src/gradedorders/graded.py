@@ -191,6 +191,8 @@ def graded_order(
 ) -> GradedOrder:
     _check_base(base)
     order = GradedOrder(group, base, dict(components), dict(gamma or {}))
+    if not set().union(*order.gamma) <= group.element_set:
+        raise GradedError("a gamma key has a grade outside the group")
     e = group.identity
     if e not in order.components:
         order.components[e] = identity_component(base)

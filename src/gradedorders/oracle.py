@@ -13,15 +13,16 @@ squarings decide; a nilpotent one has x^n, so the screen changes no
 coefficient.  Hereditariness is then radical invertibility, decided by
 linear algebra over the residue field at the A/mA and m^-1*A/A levels.
 
-Three kernels work on indices rather than dense arrays, each computing
+Two kernels work on indices rather than dense arrays, each computing
 exactly what the dense form would.  Flattening numbers each distinct
 scalar and checks associativity on those numbers, multiplying each
 distinct pair once; scalars are equal exactly when their normal forms
-are, so numbers compare as the scalars do.  Products of vectors come
-from the structure constants grouped by target, a sum over the same
-nonzero terms as the dense left multiplication matrix.  The ideal check
-of the certificate skips the pivot columns of the reduced basis, where
-membership holds for every vector.
+are, so numbers compare as the scalars do.  Every product of algebra
+elements comes from one kernel, _Alg.products, which sums over the
+structure constants grouped by target: the same nonzero terms as the
+dense left multiplication matrix.  The radical chain, the nilpotency
+squaring, the ideal check, the annihilators and the invertibility step
+all use it, and the certificate builds each side's products once.
 
 All linear algebra runs over the prime field F_p, in NumPy arrays of
 residues.  At an inert Gaussian prime the completed order is read as a
@@ -64,12 +65,13 @@ class AssociativityFailure(OracleError):
 
 
 def _dtype(p: int):
-    """Residue arrays are int64 while RANK_CAP * p**3 <= 2**62 (p at most
-    284627) and Python ints (dtype=object) beyond, so no intermediate can
-    overflow.  The largest intermediate is in _batched_charpoly, whose
+    """Residue arrays mod p are int64 while RANK_CAP * p**3 <= 2**62 (p at
+    most 284627) and Python ints (dtype=object) beyond, so no intermediate
+    can overflow.  The largest intermediate is in _batched_charpoly, whose
     deferred reduction needs n * p**3 <= 2**62 for a block of size
-    n <= RANK_CAP; every other kernel sums at most 2 * RANK_CAP products
-    of two residues before it reduces."""
+    n <= RANK_CAP.  Every other kernel sums at most RANK_CAP residues, or
+    two products of residues, and leaves longer sums to _matmul; so does
+    the invertibility step's _Alg mod p**2, int64 for p up to 523."""
     return np.int64 if RANK_CAP * p**3 <= 2**62 else object
 
 
@@ -298,7 +300,7 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
 
 
 def _residues(mat, p: int):
-    return np.array(mat, dtype=_dtype(p)) % p
+    return np.asarray(mat, dtype=_dtype(p)) % p
 
 
 def _rref(mat, p):
@@ -339,15 +341,18 @@ def _nullspace(mat, p):
 
 def _row_basis(mat, p):
     """Reduced-echelon basis of the row space, built chunk by chunk: rref a
-    block of rows, knock its span out of the rest with one matmul, repeat.
-    Far faster than one rref when rows vastly outnumber columns."""
+    block of rows, knock its span out of the rest (in place, 2**16 entries
+    at a time, so no temporary grows with the rows), repeat.  Far faster
+    than one rref when rows vastly outnumber columns."""
     a = _residues(mat, p)
     ncols = a.shape[1]
     basis = np.zeros((0, ncols), dtype=a.dtype)
     pivots: list[int] = []
     while len(a):
         if pivots:
-            a = (a - _matmul(a[:, pivots], basis, p)) % p
+            for rows in np.array_split(a, -(-a.size // 2**16)):
+                rows -= _matmul(rows[:, pivots], basis, p)
+                rows %= p
             a = a[a.any(axis=1)]
             if not len(a):
                 break
@@ -464,23 +469,12 @@ def _poly_mul_batch(a, b, p):
 # Algebras over F_p
 
 
-def _mult(coo, vs, left: bool, n: int, mod: int):
-    """Multiplication matrices of the vectors vs under the structure
-    constants coo = (e1, e2, tgt, coef), mod `mod`: row e of entry k is
-    v_k * e_e (left) or e_e * v_k (right)."""
-    e1, e2, tgt, coef = coo
-    fixed, free = (e1, e2) if left else (e2, e1)
-    out = np.zeros((len(vs), n, n), dtype=np.result_type(vs, coef))
-    np.add.at(out, (slice(None), free, tgt), vs[:, fixed] * coef)
-    return out % mod
-
-
 class _Alg:
-    """A finite-dimensional algebra over F_p in coordinate form: e1[k] *
-    e2[k] has the coefficient coef[k] at tgt[k], summed over k.  Each of
-    the blocks is a set of basis indices that left multiplication maps
-    into itself (the columns of a flattened order; the whole basis of a
-    quotient)."""
+    """An algebra over F_p (or Z/p**2, for products only) in coordinate
+    form: e1[k] * e2[k] has the coefficient coef[k] at tgt[k], summed over
+    k.  Each of the blocks is a set of basis indices that left
+    multiplication maps into itself (the columns of a flattened order; the
+    whole basis of a quotient)."""
 
     def __init__(self, p, n, e1, e2, tgt, coef, blocks):
         self.p, self.n = p, n
@@ -495,17 +489,12 @@ class _Alg:
     @cached_property
     def radical(self):
         """Reduced-echelon basis of the radical, certified (see
-        radical_mod_m)."""
+        radical_mod_m), and its two annihilators (see _certify)."""
         basis, pivots = _row_basis(_radical_chain(self), self.p)
-        _certify(self, basis, pivots)
+        annihilators = _certify(self, basis, pivots)
         if 0 < len(basis) < self.n and len(_radical_chain(_quotient(self, basis, pivots))):
             raise OracleError("radical certification failed: quotient has a radical")
-        return basis
-
-    def mult(self, vs, left: bool):
-        """(len(vs), n, n): row e of entry k is v_k * e_e (left) or
-        e_e * v_k (right)."""
-        return _mult((self.e1, self.e2, self.tgt, self.coef), vs, left, self.n, self.p)
+        return basis, annihilators
 
     @cached_property
     def by_target(self):
@@ -524,8 +513,9 @@ class _Alg:
         return tables
 
     def products(self, u, v):
-        """All products u_k * v_l, as rows indexed by (k, l) (a transposed
-        view of the batched result, which every caller copies anyway).
+        """All products u_k * v_l, as rows indexed by (k, l): a transposed
+        view of the batched result, whose .T reshapes to [t, k, l] without
+        a copy.
 
         Coordinate t of u_k * v_l sums coef * u_k[e1] * v_l[e2] over row t
         of by_target, so all of them are one batched product of (n, d_u, w)
@@ -632,32 +622,40 @@ def _radical_chain(alg: _Alg):
 
 def _certify(alg: _Alg, basis, pivots):
     """Check that the span J of a reduced-echelon basis is a nilpotent
-    ideal, or raise OracleError.
+    ideal, or raise OracleError; return the row bases of its right and
+    left annihilators, x with J*x = 0 and x with x*J = 0.
 
-    A vector x lies in J exactly when x == x[pivots] @ basis.  The basis
-    is the identity at its pivots, so that holds there for every x, and
-    the ideal check compares only the other columns.  Nilpotency is
-    certified by squaring: J^(2k) = J^k * J^k, so the chain J, J^2, J^4,
-    ... must shrink strictly at every step until it reaches 0 (a
-    nilpotent J^k != 0 never equals J^(2k)); each J^k * J^k comes from
-    _Alg.products."""
+    x lies in J exactly when x @ dual == 0, for the n - d functionals
+    x[free] - x[pivots] @ basis[:, free] (the basis is the identity at its
+    pivots).  The ideal check applies them to J*B and B*J, whose products
+    r_k * e_l and e_l * r_k, read as rows (t, k) and columns l, are also
+    the annihilators' equations; one side's d*n by n array is dropped
+    before the next is built.  Nilpotency is certified by squaring:
+    J^(2k) = J^k * J^k, so J, J^2, J^4, ... must shrink strictly to 0 (a
+    nilpotent J^k != 0 never equals J^(2k))."""
     p, n = alg.p, alg.n
-    if len(basis) == 0:
-        return
     free = np.ones(n, dtype=bool)
     free[pivots] = False
-    # ideal property: B*rad, then rad*B, stay inside rad
-    for left in (False, True):
-        prods = alg.mult(basis, left).reshape(-1, n)
-        if ((prods[:, free] - _matmul(prods[:, pivots], basis[:, free], p)) % p).any():
+    eye = np.eye(n, dtype=alg.dtype)
+    dual = eye[:, free]
+    dual[pivots] = -basis[:, free] % p
+    annihilators = []
+    for u, v in ((basis, eye), (eye, basis)):
+        prods = alg.products(u, v)
+        if _matmul(prods, dual, p).any():
             raise OracleError("radical certification failed: not an ideal")
-    del prods  # a d*n by n array, not to be held through the squaring
+        prods = prods.T.reshape(n, len(u), len(v))  # [t, k, l]: u_k * v_l at e_t
+        system = (prods if v is eye else prods.transpose(0, 2, 1)).reshape(-1, n)
+        del prods
+        annihilators.append(_nullspace(system, p))
+        del system  # not to be held through the next side or the squaring
     s = basis
     while len(s):
         nxt = _row_basis(alg.products(s, s), p)[0]
         if len(nxt) >= len(s):
             raise OracleError("radical certification failed: not nilpotent")
         s = nxt
+    return annihilators
 
 
 def _quotient(alg: _Alg, basis, pivots) -> _Alg:
@@ -693,37 +691,36 @@ def radical_mod_m(A: StructureConstantOrder):
     nilpotency (squaring, see _certify), and by a zero re-run on the
     quotient algebra.  Both chains screen out nilpotent pair products
     before any characteristic polynomial (see _Alg.pair_coeffs)."""
-    return tuple(map(tuple, A.residue_algebra.radical.tolist()))
+    return tuple(map(tuple, A.residue_algebra.radical[0].tolist()))
 
 
 def hereditary_oracle(A: StructureConstantOrder) -> bool:
     """Invertibility of the radical J of the completed order: J times its
-    right dual spans the order, and the left dual times J does too."""
+    right dual spans the order, and the left dual times J does too.  The
+    duals are the annihilators _certify returned; r*b and b*r to first
+    order in pi come from _Alg.products over the lo (mod p**2) and hi
+    (mod p) digits of w_products."""
     if not radical_mod_m(A):
         return True  # J = mA, always invertible
-    # the algebra and the radical basis that radical_mod_m computed
+    # what radical_mod_m computed: J*rann and lann*J lie in mA
     alg = A.residue_algebra
-    rad = alg.radical
-    p, n = alg.p, alg.n
-    # x with r*x in mA for every radical vector r, and x with x*r in mA
-    rann = _nullspace(alg.mult(rad, True).transpose(0, 2, 1).reshape(-1, n), p)
-    lann = _nullspace(alg.mult(rad, False).transpose(0, 2, 1).reshape(-1, n), p)
+    rad, (rann, lann) = alg.radical
     if len(rann) == 0 or len(lann) == 0:
         return False
+    p, n = alg.p, alg.n
     e1, e2, tgt, lo, hi = A.w_products
+    low, high = (_Alg(mod, n, e1, e2, tgt, c, A.blocks) for mod, c in ((p * p, lo), (p, hi)))
     _, p_is_uniformizer = digit_map(A.place)
-    for ann, left in ((rann, False), (lann, True)):
-        # multiplication by each dual generator b, to first order in pi
-        low = _mult((e1, e2, tgt, lo), ann, left, n, p * p)
-        high = _mult((e1, e2, tgt, hi), ann, left, n, p)
-        # the divided products (rad * b)/pi or (b * rad)/pi mod m
-        rl = _matmul(rad, low, p * p)
+    eye = np.eye(n, dtype=alg.dtype)
+    # rad * b with A * b for b in the right dual, then b * rad with b * A
+    for pair, span in (((rad, rann), (eye, rann)), ((lann, rad), (lann, eye))):
+        # the divided products (r * b)/pi or (b * r)/pi mod m
+        rl = low.products(*pair)
         if (rl % p).any():
             raise OracleError("value not divisible by the uniformizer")
         carry = rl // p if p_is_uniformizer else 0
-        digits = (carry + _matmul(rad, high, p)) % p
-        rows = np.vstack([rad, (low % p).reshape(-1, n), digits.reshape(-1, n)])
-        if _rank(rows, p) != n:
+        digits = (carry + high.products(*pair)) % p
+        if _rank(np.vstack([rad, alg.products(*span), digits]), p) != n:
             return False
     return True
 

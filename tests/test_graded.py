@@ -36,6 +36,7 @@ from gradedorders.graded import (
     validate_strong_grading,
 )
 from gradedorders.groups import (
+    FiniteGroup,
     cyclic_group,
     pinv,
     pmul,
@@ -369,6 +370,12 @@ class TestStrongGradingFailure:
         comps = {s: identity_component(base)}
         with pytest.raises(GradedError, match=f"^a gamma value has {len(scalars)} scalars, expected 1$"):
             graded_order(g2, base, comps, {(s, s): scalars})
+
+    def test_gamma_grades_lie_in_the_group(self):
+        # grades of the symmetric group S_2, over the trivial group of degree 2
+        base = LocalBase((hereditary_staircase((1, 1), ZZ, M2),))
+        with pytest.raises(GradedError, match="^a gamma key has a grade outside the group$"):
+            graded_order(FiniteGroup(2, ()), base, {}, {((1, 0), (1, 0)): (KElem.of(3),)})
 
     def test_component_needs_one_matrix_per_block(self):
         delta = hereditary_staircase((1, 1), ZZ, M2)

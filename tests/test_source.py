@@ -109,6 +109,23 @@ def test_matrix_products_only_in_exact_kernels():
     assert found == []
 
 
+def test_one_product_kernel_in_the_oracle():
+    # products of algebra elements come from _Alg.products alone; a ufunc
+    # .at scatter (np.add.at) builds a dense table, and only the trace
+    # form, the block maps and the quotient's structure constants may
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    scatters = {"trace_matrix", "block_maps", "_quotient"}
+    owners = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in scatters]
+    assert sorted(n.name for n in owners) == sorted(scatters)
+    allowed = {id(n) for f in owners for n in ast.walk(f)}
+    found = [
+        f"oracle.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in allowed and isinstance(node, ast.Attribute) and node.attr == "at"
+    ]
+    assert found == []
+
+
 def test_json_format_only_in_cli():
     # the input format is read and written in one module: no other defines
     # a function whose name mentions json
