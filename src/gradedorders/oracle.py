@@ -5,24 +5,32 @@ over the completed base ring: basis elements are matrix units scaled by
 uniformizer powers, one per component entry, tagged with the grade.  The
 radical of the reduction mod m is found by the characteristic-polynomial
 coefficient chain (valid in small characteristic, where the plain trace
-form fails), certified as an ideal, as nilpotent by squaring (J, J^2,
-J^4, ... shrinks to 0) and by a re-run on the quotient.  The chain
-computes Hessenberg characteristic polynomials only for the pair
-products whose left multiplication is not nilpotent, which a few
-squarings decide; a nilpotent one has x^n, so the screen changes no
-coefficient.  Hereditariness is then radical invertibility, decided by
-linear algebra over the residue field at the A/mA and m^-1*A/A levels.
+form fails), certified as an ideal, as nilpotent and by a re-run on the
+quotient.  The chain computes Hessenberg characteristic polynomials only
+for the pair products whose left multiplication is not nilpotent, which
+a few squarings decide; a nilpotent one has x^n, so the screen changes
+no coefficient.  Hereditariness is then radical invertibility, decided
+by linear algebra over the residue field at the A/mA and m^-1*A/A
+levels.
+
+Left multiplication keeps each column of matrix units (e_ij * e_jk =
+e_ik) and right multiplication each row, so the certificate reads the
+radical J only through the small matrices of multiplication by its basis
+on those blocks.  They give the ideal check, and the annihilators as
+direct sums of block kernels, solved in batches of equal-size blocks.
+Nilpotency needs no powers of J: an ideal spanned by nilpotent elements
+is nilpotent (see _certify), so it is checked on the basis alone.
 
 Two kernels work on indices rather than dense arrays, each computing
 exactly what the dense form would.  Flattening numbers each distinct
 scalar and checks associativity on those numbers, multiplying each
 distinct pair once; scalars are equal exactly when their normal forms
-are, so numbers compare as the scalars do.  Every product of algebra
-elements comes from one kernel, _Alg.products, which sums over the
-structure constants grouped by target: the same nonzero terms as the
-dense left multiplication matrix.  The radical chain, the nilpotency
-squaring, the ideal check, the annihilators and the invertibility step
-all use it, and the certificate builds each side's products once.
+are, so numbers compare as the scalars do.  Every product of two lists
+of algebra elements comes from one kernel, _Alg.products, which sums
+over the structure constants grouped by target: the same nonzero terms
+as the dense left multiplication matrix.  The radical chain's pair
+products and the invertibility test use it; the block matrices of
+multiplication come from one scatter per side (_Alg.block_groups).
 
 All linear algebra runs over the prime field F_p, in NumPy arrays of
 residues.  At an inert Gaussian prime the completed order is read as a
@@ -81,9 +89,12 @@ def _matmul(a, b, mod: int):
     float64 BLAS is exact while a dot product of length k, below
     k * (mod-1)**2, stays below 2**53.  Beyond that the product is taken
     in integers: both factors are split into limbs of s bits, with
-    k * 4**s <= 2**53 so that each limb product is exact in float64, and
-    the limb products are recombined in Python integers (the exact
-    modular products of FFLAS-FFPACK)."""
+    k * 4**s <= 2**53 so that each limb product is exact in float64.  The
+    limb products of one shift i+j are summed in int64 and the 2*count-1
+    sums recombined in Python integers (the exact modular products of
+    FFLAS-FFPACK).  That int64 sum is safe while count <= 1024; the moduli
+    here are below 2**128 (p**2 for p <= base_rings.MAX_NORM), so count
+    is at most 8 for any k below 2**20."""
     dtype = np.result_type(a, b)
     k = a.shape[-1]
     if k * (mod - 1) ** 2 < 2**53:
@@ -97,11 +108,16 @@ def _matmul(a, b, mod: int):
         x = x.astype(np.int64 if mod <= 2**63 else object)
         return [((x >> (s * i)) & ((1 << s) - 1)).astype(np.float64) for i in range(count)]
 
+    la, lb = limbs(a), limbs(b)
     out = 0
-    for i, x in enumerate(limbs(a)):
-        for j, y in enumerate(limbs(b)):
-            part = np.matmul(x, y).astype(np.int64).astype(object)
-            out = out + part * pow(2, s * (i + j), mod)
+    for shift in range(2 * count - 1):
+        # the limb products of one shift sum exactly in int64: each is
+        # below 2**53, and there are at most count of them
+        part = sum(
+            np.matmul(la[i], lb[shift - i]).astype(np.int64)
+            for i in range(max(0, shift - count + 1), min(shift, count - 1) + 1)
+        )
+        out = out + part.astype(object) * pow(2, s * shift, mod)
     return (out % mod).astype(dtype, copy=False)
 
 
@@ -122,6 +138,7 @@ class StructureConstantOrder:
     labels: list
     products: dict
     columns: list  # columns[c] = sorted basis indices in absolute column c
+    rows: list  # rows[r] = sorted basis indices in absolute row r
 
     @property
     def degree(self) -> int:
@@ -133,12 +150,21 @@ class StructureConstantOrder:
         """The rank over F_p that the kernels see."""
         return self.rank * self.degree
 
+    def _over_fp(self, sets: list) -> list:
+        """Sets of basis indices over F_p: basis element k is deg*k + a,
+        standing for i**a times the order's basis element k."""
+        deg = self.degree
+        return [[deg * k + a for k in ks for a in range(deg)] for ks in sets]
+
     @property
     def blocks(self) -> list:
-        """The columns over F_p: basis element k is deg*k + a, standing
-        for i**a times the order's basis element k."""
-        deg = self.degree
-        return [[deg * k + a for k in col for a in range(deg)] for col in self.columns]
+        """The columns over F_p, which left multiplication preserves."""
+        return self._over_fp(self.columns)
+
+    @property
+    def row_blocks(self) -> list:
+        """The rows over F_p, which right multiplication preserves."""
+        return self._over_fp(self.rows)
 
     @cached_property
     def w_products(self) -> tuple:
@@ -288,11 +314,13 @@ def flatten(order: GradedOrder, m: MaximalIdeal) -> StructureConstantOrder:
                 products[(e1, e2)] = (t12, got[0])
                 rows.append((e1, e2, t12, got[1]))
     columns = [[] for _ in range(offs[-1])]
+    lines = [[] for _ in range(offs[-1])]
     for k, (g, b, i, j) in enumerate(labels):
         comp = local.components[g]
         columns[offs[comp.perm[b]] + j].append(k)
+        lines[offs[b] + i].append(k)
     _check_associative(n_total, np.array(rows, dtype=np.intp).reshape(-1, 4), list(numbers))
-    return StructureConstantOrder(m, n_total, labels, products, columns)
+    return StructureConstantOrder(m, n_total, labels, products, columns, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +484,48 @@ def _nilpotent(m, p):
     return out
 
 
+def _batched_echelon(a, p):
+    """Reduced echelon forms of a stack (B, r, s) mod p, pivot-indexed:
+    row c of member b of the (B, s, s) result E is the basis row of b's
+    row space with pivot c, or zero where c is not a pivot, so E's
+    diagonal is 1 at the pivots and 0 elsewhere.  The kernel of member b
+    is then spanned by the columns of I - E at its free columns.
+
+    The rows go in chunks of about 2**16 entries over the stack, below
+    E's rows.  A chunk is eliminated one column at a time over the whole
+    stack: an argmax finds each member's pivot row, a Fermat inverse
+    scales it, and one update clears the column from the chunk and from
+    E.  The remaining rows are then reduced by E in one product and their
+    zero rows dropped, so a later chunk holds only rows outside the span
+    found so far."""
+    a = _residues(a, p)
+    bsz, _, s = a.shape
+    bi = np.arange(bsz)
+    ech = np.zeros((bsz, s, s), dtype=a.dtype)
+    take = max(s, 2**16 // max(bsz * s, 1))
+    while a.shape[1]:
+        work = np.concatenate((ech, a[:, :take]), axis=1)
+        a = a[:, take:]
+        for c in range(s):
+            piv = s + np.argmax(work[:, s:, c] != 0, axis=1)
+            lead = work[bi, piv, c]
+            if not lead.any():
+                continue
+            # a member with no pivot here gets a zero row (at p = 2 the
+            # inverse of 0 reads 1)
+            row = work[bi, piv] * (_inverse(lead, p) * (lead != 0))[:, None] % p
+            work -= work[:, :, c, None] * row[:, None]
+            work %= p
+            work[:, c] += row
+        ech = work[:, :s]
+        if a.shape[1]:
+            a = (a - _matmul(a, ech, p)) % p
+            nonzero = a.any(axis=2)
+            keep = np.argsort(~nonzero, axis=1, kind="stable")[:, : nonzero.sum(axis=1).max(initial=0)]
+            a = a[bi[:, None], keep]
+    return ech
+
+
 def _poly_mul_batch(a, b, p):
     bsz, la = a.shape
     lb = b.shape[1]
@@ -473,18 +543,35 @@ class _Alg:
     """An algebra over F_p (or Z/p**2, for products only) in coordinate
     form: e1[k] * e2[k] has the coefficient coef[k] at tgt[k], summed over
     k.  Each of the blocks is a set of basis indices that left
-    multiplication maps into itself (the columns of a flattened order; the
-    whole basis of a quotient)."""
+    multiplication maps into itself, and each of the row blocks one that
+    right multiplication maps into itself: the columns and the rows of a
+    flattened order, since e_ij * e_jk = e_ik.  Either defaults to the
+    whole basis, as for a quotient."""
 
-    def __init__(self, p, n, e1, e2, tgt, coef, blocks):
+    def __init__(self, p, n, e1, e2, tgt, coef, blocks, row_blocks=None):
         self.p, self.n = p, n
         self.e1, self.e2, self.tgt, self.coef = e1, e2, tgt, coef
         self.blocks = blocks
+        self.row_blocks = row_blocks or [list(range(n))]
         self.dtype = _dtype(p)
 
     @classmethod
     def of(cls, A: StructureConstantOrder) -> _Alg:
-        return cls(A.place.residue_char, A.dim, *A.residue_products, A.blocks)
+        return cls(A.place.residue_char, A.dim, *A.residue_products, A.blocks, A.row_blocks)
+
+    def recoefficient(self, p, coef) -> _Alg:
+        """The algebra mod p with coefficients coef on the same pairs and
+        targets, sharing this one's grouping by target."""
+        alg = _Alg(p, self.n, self.e1, self.e2, self.tgt, coef, self.blocks, self.row_blocks)
+        alg.by_target = self.by_target
+        return alg
+
+    @property
+    def opposite(self) -> _Alg:
+        """The opposite algebra, x o y = y * x: its left multiplication is
+        right multiplication here, which keeps each row block.  Built
+        afresh, so that its tables go with it."""
+        return _Alg(self.p, self.n, self.e2, self.e1, self.tgt, self.coef, self.row_blocks, self.blocks)
 
     @cached_property
     def radical(self):
@@ -499,18 +586,27 @@ class _Alg:
     @cached_property
     def by_target(self):
         """The structure constants grouped by target, as padded (n, w)
-        tables e1, e2, coef: row t lists the pairs with e1 * e2 having a
-        coefficient at e_t, w the most any target has.  A padding slot
-        has coefficient 0."""
+        tables e1, e2: row t lists the pairs with e1 * e2 having a
+        coefficient at e_t, w the most any target has.  Constant k sits in
+        row tgt[k], column slot[k]; slot is returned as well, for the
+        coefficient table."""
         counts = np.bincount(self.tgt, minlength=self.n)
         order = np.argsort(self.tgt, kind="stable")
-        rows = self.tgt[order]
-        slots = np.arange(len(order)) - (np.cumsum(counts) - counts)[rows]
+        slot = np.empty(len(order), dtype=np.intp)
+        slot[order] = np.arange(len(order)) - (np.cumsum(counts) - counts)[self.tgt[order]]
         tables = [np.zeros((self.n, int(counts.max(initial=0))), dtype=np.intp) for _ in range(2)]
-        tables.append(np.zeros(tables[0].shape, dtype=self.dtype))
-        for table, values in zip(tables, (self.e1, self.e2, self.coef)):
-            table[rows, slots] = values[order]
-        return tables
+        for table, values in zip(tables, (self.e1, self.e2)):
+            table[self.tgt, slot] = values
+        return (*tables, slot)
+
+    @cached_property
+    def coef_table(self):
+        """The coefficients in the layout of by_target; a padding slot has
+        coefficient 0."""
+        e1, _, slot = self.by_target
+        table = np.zeros(e1.shape, dtype=self.dtype)
+        table[self.tgt, slot] = self.coef
+        return table
 
     def products(self, u, v):
         """All products u_k * v_l, as rows indexed by (k, l): a transposed
@@ -522,8 +618,8 @@ class _Alg:
         by (n, w, d_v) stacks.  That is the sum the dense left
         multiplication tensor gives, less its zero terms: padding slots
         have coefficient 0, so no coordinate can change."""
-        e1, e2, coef = self.by_target
-        left = u[:, e1] * coef % self.p  # (d_u, n, w)
+        e1, e2, _ = self.by_target
+        left = u[:, e1] * self.coef_table % self.p  # (d_u, n, w)
         right = v[:, e2]  # (d_v, n, w)
         out = _matmul(left.transpose(1, 0, 2), right.transpose(1, 2, 0), self.p)  # (n, d_u, d_v)
         return out.reshape(self.n, -1).T
@@ -539,23 +635,42 @@ class _Alg:
         return tf % p
 
     @cached_property
+    def block_groups(self):
+        """Left multiplication on every block, the blocks of one size
+        together: the (n, S) matrix taking z to the s*s matrices of left
+        multiplication by z on the blocks, S the sum of the squared block
+        sizes, and per size s the (B, s) basis indices of its B blocks and
+        the first of their B*s*s columns.  Entry t*s + l of a block's
+        matrix is coordinate col[t] of z * e_col[l], for the block's basis
+        indices col.  Each structure constant lies in the block of e2,
+        which holds its target as well, since the blocks are kept."""
+        sizes = [len(col) for col in self.blocks]
+        groups, first, start = [], [0] * len(sizes), 0
+        for s in sorted(set(sizes)):
+            members = [k for k, size in enumerate(sizes) if size == s]
+            groups.append((s, np.array([self.blocks[k] for k in members], dtype=np.intp), start))
+            for k in members:
+                first[k], start = start, start + s * s
+        block = np.empty(self.n, dtype=np.intp)
+        pos = np.empty(self.n, dtype=np.intp)
+        for k, col in enumerate(self.blocks):
+            block[col], pos[col] = k, np.arange(len(col))
+        b = block[self.e2]
+        maps = np.zeros((self.n, start), dtype=self.dtype)
+        np.add.at(maps, (self.e1, np.array(first)[b] + pos[self.tgt] * np.array(sizes)[b] + pos[self.e2]), self.coef)
+        return maps % self.p, groups
+
+    @cached_property
     def block_maps(self):
         """Per block of size s, the (n, s*s) matrix taking z to left
-        multiplication by z on that block."""
-        maps = []
-        for col in self.blocks:
-            s = len(col)
-            pos = np.full(self.n, -1)
-            pos[col] = np.arange(s)
-            inside = pos[self.e2] >= 0
-            tc = np.zeros((self.n, s * s), dtype=self.dtype)
-            np.add.at(
-                tc,
-                (self.e1[inside], pos[self.tgt[inside]] * s + pos[self.e2[inside]]),
-                self.coef[inside],
-            )
-            maps.append((s, tc % self.p))
-        return maps
+        multiplication by z on that block: views of block_groups, in its
+        order."""
+        maps, groups = self.block_groups
+        return [
+            (s, maps[:, start + j * s * s : start + (j + 1) * s * s])
+            for s, cols, start in groups
+            for j in range(len(cols))
+        ]
 
     def pair_coeffs(self, v):
         """Full characteristic polynomials of left multiplication by the
@@ -568,14 +683,22 @@ class _Alg:
         products, and most others when v spans little more than the
         radical) keep the row x^n without a Hessenberg reduction; the
         screen decides nilpotency exactly, so no coefficient can change.
-        One block's matrices at a time are built and screened."""
+        The products are made a few rows k at a time, for l >= k only,
+        and only the nonzero ones kept, so that the d*d products never
+        exist at once.  One block's matrices at a time are built and
+        screened."""
         p, n = self.p, self.n
         d = len(v)
-        z = self.products(v, v).reshape(d, d, n)
         ku, lu = np.triu_indices(d)
-        zall = z[ku, lu]  # (P, n)
-        live = np.flatnonzero(zall.any(axis=1))
-        zp = zall[live]
+        step = max(1, 2**18 // (d * n))
+        zp, live = [], []
+        for a in range(0, d, step):
+            rows, cols = np.triu_indices(min(step, d - a), 0, d - a)
+            z = self.products(v[a : a + step], v[a:]).reshape(-1, d - a, n)[rows, cols]
+            nonzero = np.flatnonzero(z.any(axis=1))
+            zp.append(z[nonzero])
+            live.append(a * d - a * (a - 1) // 2 + nonzero)  # pairs before row a
+        zp, live = np.concatenate(zp), np.concatenate(live)
         # per block: the live pairs not nilpotent there, and their matrices
         hot, survive = [], np.zeros(len(zp), dtype=bool)
         for s, tc in self.block_maps:
@@ -625,36 +748,63 @@ def _certify(alg: _Alg, basis, pivots):
     ideal, or raise OracleError; return the row bases of its right and
     left annihilators, x with J*x = 0 and x with x*J = 0.
 
+    J is read only through left and right multiplication by its basis
+    r_k, on the blocks those maps keep: left multiplication maps each
+    column block into itself (e_ij * e_jk = e_ik), and right
+    multiplication, the left multiplication of alg.opposite, each row
+    block.  Per side one product of the basis by block_groups gives every
+    block's s*s matrices, in stacks of equal-size blocks.
+
     x lies in J exactly when x @ dual == 0, for the n - d functionals
     x[free] - x[pivots] @ basis[:, free] (the basis is the identity at its
-    pivots).  The ideal check applies them to J*B and B*J, whose products
-    r_k * e_l and e_l * r_k, read as rows (t, k) and columns l, are also
-    the annihilators' equations; one side's d*n by n array is dropped
-    before the next is built.  Nilpotency is certified by squaring:
-    J^(2k) = J^k * J^k, so J, J^2, J^4, ... must shrink strictly to 0 (a
-    nilpotent J^k != 0 never equals J^(2k))."""
-    p, n = alg.p, alg.n
+    pivots).  The ideal check applies the block's rows of dual to the
+    block coordinates of r_k * e_l and of e_l * r_k.
+
+    An ideal spanned by nilpotent elements is nilpotent, so nilpotency is
+    checked on the basis alone (by _nilpotent, on its left
+    multiplication, which is nilpotent exactly when r_k is).  Proof: the
+    image of J in the semisimple A/rad A is an ideal, so a sum of simple
+    components M_m(F_q).  The trace of a component's matrix is linear and
+    vanishes on nilpotent matrices, so on the image; but it is 1 at the
+    unit e_11 of any component in the image.  So the image is 0 and J
+    lies in rad A.
+
+    Since the blocks of a side partition the basis and each is kept, J*x
+    = 0 splits into J * x_block = 0 per column block: the right
+    annihilator is the direct sum of the column blocks' kernels, and the
+    left one that of the row blocks'.  _batched_echelon solves a stack of
+    them at once; each basis vector is 1 at its free index, so ordered by
+    it the rows are the reduced nullspace basis of the whole system."""
+    p, n, d = alg.p, alg.n, len(basis)
     free = np.ones(n, dtype=bool)
     free[pivots] = False
-    eye = np.eye(n, dtype=alg.dtype)
-    dual = eye[:, free]
+    dual = np.eye(n, dtype=alg.dtype)[:, free]
     dual[pivots] = -basis[:, free] % p
-    annihilators = []
-    for u, v in ((basis, eye), (eye, basis)):
-        prods = alg.products(u, v)
-        if _matmul(prods, dual, p).any():
-            raise OracleError("radical certification failed: not an ideal")
-        prods = prods.T.reshape(n, len(u), len(v))  # [t, k, l]: u_k * v_l at e_t
-        system = (prods if v is eye else prods.transpose(0, 2, 1)).reshape(-1, n)
-        del prods
-        annihilators.append(_nullspace(system, p))
-        del system  # not to be held through the next side or the squaring
-    s = basis
-    while len(s):
-        nxt = _row_basis(alg.products(s, s), p)[0]
-        if len(nxt) >= len(s):
-            raise OracleError("radical certification failed: not nilpotent")
-        s = nxt
+    annihilators, nilpotent = [], True
+    for side in (alg, alg.opposite):
+        maps, groups = side.block_groups
+        image = _matmul(basis, maps, p)
+        heads, spots, values = [], [], []
+        for s, cols, start in groups:
+            # m[b, k, t, l]: coordinate cols[b, t] of r_k * e_cols[b, l]
+            m = image[:, start : start + cols.size * s].reshape(d, len(cols), s, s).transpose(1, 0, 2, 3)
+            if _matmul(m.transpose(0, 1, 3, 2).reshape(len(cols), d * s, s), dual[cols], p).any():
+                raise OracleError("radical certification failed: not an ideal")
+            if side is alg:
+                nilpotent = nilpotent and _nilpotent(m.reshape(-1, s, s), p).all()
+            ech = _batched_echelon(m.reshape(len(cols), d * s, s), p)
+            b, f = np.nonzero(np.diagonal(ech, axis1=1, axis2=2) == 0)
+            vec = -ech[b, :, f] % p  # column f of I - E, 1 put in below
+            vec[np.arange(len(f)), f] = 1
+            heads.append(cols[b, f])
+            spots.append(cols[b])
+            values.append(vec)
+        order = np.argsort(np.concatenate(heads))
+        ann = np.zeros((len(order), n), dtype=alg.dtype)
+        ann[np.arange(len(order))[:, None], np.concatenate(spots)[order]] = np.concatenate(values)[order]
+        annihilators.append(ann)
+    if not nilpotent:
+        raise OracleError("radical certification failed: not nilpotent")
     return annihilators
 
 
@@ -688,7 +838,7 @@ def _quotient(alg: _Alg, basis, pivots) -> _Alg:
 def radical_mod_m(A: StructureConstantOrder):
     """Basis of the Jacobson radical of A/mA over F_p (over the doubled
     basis at an inert place), certified by the ideal property, by
-    nilpotency (squaring, see _certify), and by a zero re-run on the
+    nilpotency of its basis (see _certify), and by a zero re-run on the
     quotient algebra.  Both chains screen out nilpotent pair products
     before any characteristic polynomial (see _Alg.pair_coeffs)."""
     return tuple(map(tuple, A.residue_algebra.radical[0].tolist()))
@@ -709,7 +859,8 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
         return False
     p, n = alg.p, alg.n
     e1, e2, tgt, lo, hi = A.w_products
-    low, high = (_Alg(mod, n, e1, e2, tgt, c, A.blocks) for mod, c in ((p * p, lo), (p, hi)))
+    low = _Alg(p * p, n, e1, e2, tgt, lo, A.blocks, A.row_blocks)
+    high = low.recoefficient(p, hi)
     _, p_is_uniformizer = digit_map(A.place)
     eye = np.eye(n, dtype=alg.dtype)
     # rad * b with A * b for b in the right dual, then b * rad with b * A

@@ -413,6 +413,87 @@ class TestNumpyExactness:
             assert r["oracle"] and r["engine"] and r["agree"], (ring, p)
 
 
+class TestBlockCertificate:
+    @staticmethod
+    def whole_space_annihilators(alg, basis):
+        """The right and left annihilators as nullspaces of the (d*n) x n
+        systems of every product r_k * e_l and e_l * r_k."""
+        p, n = alg.p, alg.n
+        eye = np.eye(n, dtype=alg.dtype)
+        out = []
+        for u, v in ((basis, eye), (eye, basis)):
+            prods = alg.products(u, v).T.reshape(n, len(u), len(v))  # [t, k, l]
+            system = (prods if v is eye else prods.transpose(0, 2, 1)).reshape(-1, n)
+            out.append(oracle._nullspace(system, p))
+        return out
+
+    def test_annihilators_match_whole_space_nullspaces(self):
+        from test_acceptance import _sweep_graded_corpus
+
+        (m3i,) = maximal_ideals_above(ZI, 3)
+        gauss = gaussian_outer(3)
+        cases = [(order, m) for order in _sweep_graded_corpus() for m in order.places()]
+        cases += [(gauss, P5), (gauss, Q5)]
+        cases.append((graded_order(G1, LocalBase((hereditary_staircase((2, 1), ZI, m3i),)), {}), m3i))
+        kinds = set()
+        for order, m in cases:
+            a = flatten(order, m)
+            alg = oracle._Alg.of(a)
+            basis, annihilators = alg.radical
+            for got, want in zip(annihilators, self.whole_space_annihilators(alg, basis)):
+                assert len(got) == len(want) == oracle._rank(np.vstack([got, want]), alg.p), (str(m), a.rank)
+            perms = [comp.perm for comp in order.localize(m).components.values()]
+            kinds.add("inert" if a.degree == 2 else "split")
+            kinds.add("permuted" if any(list(pm) != sorted(pm) for pm in perms) else "kept")
+        assert kinds == {"inert", "split", "permuted", "kept"}
+
+    def test_proper_ideal_that_is_not_nilpotent(self):
+        # M_2(F_3) x M_2(F_3) and its first factor: a two-sided ideal
+        mx = validate_order([[0, 0], [0, 0]], ZZ, M3)
+        a = flatten(graded_order(G1, LocalBase((mx, mx)), {}), M3)
+        alg = oracle._Alg.of(a)
+        factor = [k for k, (_, b, _, _) in enumerate(a.labels) if b == 0]
+        assert len(factor) == 4 < alg.n
+        basis, pivots = oracle._row_basis(np.eye(alg.n, dtype=alg.dtype)[factor], alg.p)
+        with pytest.raises(oracle.OracleError, match="not nilpotent"):
+            oracle._certify(alg, basis, pivots)
+
+    def test_one_sided_ideals_are_not_ideals(self):
+        # in M_2(F_3) the first row {e_11, e_12} is a right ideal and not
+        # a left one (e_21 * e_11 = e_21), so only the opposite side's
+        # check fails; the first column is the mirror case
+        a = flat_tiled(validate_order([[0, 0], [0, 0]], ZZ, M3))
+        alg = oracle._Alg.of(a)
+        where = {label[2:]: k for k, label in enumerate(a.labels)}
+        eye = np.eye(alg.n, dtype=alg.dtype)
+        for units in (((0, 0), (0, 1)), ((0, 0), (1, 0))):
+            basis, pivots = oracle._row_basis(eye[[where[u] for u in units]], alg.p)
+            with pytest.raises(oracle.OracleError, match="not an ideal"):
+                oracle._certify(alg, basis, pivots)
+
+    @pytest.mark.parametrize("p", (2, 3, 5) + LARGE_PRIMES)
+    def test_batched_echelon_matches_row_basis(self, p):
+        # member by member: row c of the result is the basis row with
+        # pivot c, and the rows at free columns are zero
+        rng = random.Random(p)
+        dtype = oracle._dtype(p)
+        for size, rows, members in [(1, 3, 4), (2, 0, 3), (3, 7, 0), (3, 10, 5), (4, 9, 6), (5, 26, 3)]:
+            stack = np.zeros((members, rows, size), dtype=dtype)
+            for b in range(members):
+                rank = rng.randrange(1, size + 1) if b else 0  # member 0 is all zero
+                left = np.array([[rng.randrange(p) for _ in range(rank)] for _ in range(rows)], dtype=object)
+                right = np.array([[rng.randrange(p) for _ in range(size)] for _ in range(rank)], dtype=object)
+                stack[b] = (left.reshape(rows, rank) @ right.reshape(rank, size)) % p if rank else 0
+            ech = oracle._batched_echelon(stack, p)
+            assert ech.shape == (members, size, size)
+            for b in range(members):
+                basis, pivots = oracle._row_basis(stack[b], p)
+                free = [c for c in range(size) if c not in pivots]
+                assert (ech[b][pivots] == basis).all(), (size, rows, b)
+                assert not ech[b][free].any(), (size, rows, b)
+                assert np.diagonal(ech[b]).tolist() == [int(c in pivots) for c in range(size)]
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="engine says inner at (2), where the completion M2(Z2[sqrt 3]) is hereditary",

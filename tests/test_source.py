@@ -112,9 +112,10 @@ def test_matrix_products_only_in_exact_kernels():
 def test_one_product_kernel_in_the_oracle():
     # products of algebra elements come from _Alg.products alone; a ufunc
     # .at scatter (np.add.at) builds a dense table, and only the trace
-    # form, the block maps and the quotient's structure constants may
+    # form, the block maps (built together as block_groups) and the
+    # quotient's structure constants may
     tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
-    scatters = {"trace_matrix", "block_maps", "_quotient"}
+    scatters = {"trace_matrix", "block_groups", "_quotient"}
     owners = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name in scatters]
     assert sorted(n.name for n in owners) == sorted(scatters)
     allowed = {id(n) for f in owners for n in ast.walk(f)}
@@ -124,6 +125,22 @@ def test_one_product_kernel_in_the_oracle():
         if id(node) not in allowed and isinstance(node, ast.Attribute) and node.attr == "at"
     ]
     assert found == []
+
+
+def test_certificate_reads_only_blocks():
+    # _certify reads the radical through its block multiplication maps: a
+    # call of _Alg.products or of an echelon helper over the whole space
+    # (_row_basis, _nullspace, _rank) would bring back a (d*n) x n system
+    # or the squaring chain
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    (certify,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_certify"]
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+        for node in ast.walk(certify)
+        if isinstance(node, ast.Call)
+    }
+    assert "_batched_echelon" in called
+    assert called & {"products", "_row_basis", "_nullspace", "_rank"} == set()
 
 
 def test_json_format_only_in_cli():
