@@ -559,13 +559,6 @@ class _Alg:
     def of(cls, A: StructureConstantOrder) -> _Alg:
         return cls(A.place.residue_char, A.dim, *A.residue_products, A.blocks, A.row_blocks)
 
-    def recoefficient(self, p, coef) -> _Alg:
-        """The algebra mod p with coefficients coef on the same pairs and
-        targets, sharing this one's grouping by target."""
-        alg = _Alg(p, self.n, self.e1, self.e2, self.tgt, coef, self.blocks, self.row_blocks)
-        alg.by_target = self.by_target
-        return alg
-
     @property
     def opposite(self) -> _Alg:
         """The opposite algebra, x o y = y * x: its left multiplication is
@@ -660,24 +653,12 @@ class _Alg:
         np.add.at(maps, (self.e1, np.array(first)[b] + pos[self.tgt] * np.array(sizes)[b] + pos[self.e2]), self.coef)
         return maps % self.p, groups
 
-    @cached_property
-    def block_maps(self):
-        """Per block of size s, the (n, s*s) matrix taking z to left
-        multiplication by z on that block: views of block_groups, in its
-        order."""
-        maps, groups = self.block_groups
-        return [
-            (s, maps[:, start + j * s * s : start + (j + 1) * s * s])
-            for s, cols, start in groups
-            for j in range(len(cols))
-        ]
-
     def pair_coeffs(self, v):
         """Full characteristic polynomials of left multiplication by the
         products v_k * v_l, for k <= l, via the block splitting of the
         regular representation.
 
-        Left multiplication is block-diagonal over block_maps, so its
+        Left multiplication is block-diagonal over the blocks, so its
         characteristic polynomial is the product of the blocks' and is
         x^n exactly when every block is nilpotent.  Such pairs (the zero
         products, and most others when v spans little more than the
@@ -700,12 +681,14 @@ class _Alg:
             live.append(a * d - a * (a - 1) // 2 + nonzero)  # pairs before row a
         zp, live = np.concatenate(zp), np.concatenate(live)
         # per block: the live pairs not nilpotent there, and their matrices
+        maps, groups = self.block_groups
         hot, survive = [], np.zeros(len(zp), dtype=bool)
-        for s, tc in self.block_maps:
-            m = _matmul(zp, tc, p).reshape(len(zp), s, s)
-            keep = ~_nilpotent(m, p)
-            survive |= keep
-            hot.append((s, keep, m[keep]))
+        for s, cols, start in groups:
+            for j in range(start, start + cols.size * s, s * s):
+                m = _matmul(zp, maps[:, j : j + s * s], p).reshape(len(zp), s, s)
+                keep = ~_nilpotent(m, p)
+                survive |= keep
+                hot.append((s, keep, m[keep]))
         part = np.ones((int(survive.sum()), 1), dtype=self.dtype)
         for s, keep, m in hot:
             if keep.any():
@@ -784,7 +767,7 @@ def _certify(alg: _Alg, basis, pivots):
     for side in (alg, alg.opposite):
         maps, groups = side.block_groups
         image = _matmul(basis, maps, p)
-        heads, spots, values = [], [], []
+        heads, rows = [], []
         for s, cols, start in groups:
             # m[b, k, t, l]: coordinate cols[b, t] of r_k * e_cols[b, l]
             m = image[:, start : start + cols.size * s].reshape(d, len(cols), s, s).transpose(1, 0, 2, 3)
@@ -796,13 +779,12 @@ def _certify(alg: _Alg, basis, pivots):
             b, f = np.nonzero(np.diagonal(ech, axis1=1, axis2=2) == 0)
             vec = -ech[b, :, f] % p  # column f of I - E, 1 put in below
             vec[np.arange(len(f)), f] = 1
+            # as n-vectors: each group's kernel vectors have its own size
+            row = np.zeros((len(f), n), dtype=alg.dtype)
+            row[np.arange(len(f))[:, None], cols[b]] = vec
             heads.append(cols[b, f])
-            spots.append(cols[b])
-            values.append(vec)
-        order = np.argsort(np.concatenate(heads))
-        ann = np.zeros((len(order), n), dtype=alg.dtype)
-        ann[np.arange(len(order))[:, None], np.concatenate(spots)[order]] = np.concatenate(values)[order]
-        annihilators.append(ann)
+            rows.append(row)
+        annihilators.append(np.vstack(rows)[np.argsort(np.concatenate(heads))])
     if not nilpotent:
         raise OracleError("radical certification failed: not nilpotent")
     return annihilators
@@ -859,8 +841,9 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
         return False
     p, n = alg.p, alg.n
     e1, e2, tgt, lo, hi = A.w_products
-    low = _Alg(p * p, n, e1, e2, tgt, lo, A.blocks, A.row_blocks)
-    high = low.recoefficient(p, hi)
+    low = _Alg(p * p, n, e1, e2, tgt, lo, A.blocks)
+    high = _Alg(p, n, e1, e2, tgt, hi, A.blocks)
+    high.by_target = low.by_target  # same pairs and targets
     _, p_is_uniformizer = digit_map(A.place)
     eye = np.eye(n, dtype=alg.dtype)
     # rad * b with A * b for b in the right dual, then b * rad with b * A

@@ -268,9 +268,11 @@ def unscreened_pair_coeffs(alg, v):
     ku, lu = np.triu_indices(d)
     z = alg.products(v, v).reshape(d, d, alg.n)[ku, lu]
     part = np.ones((len(z), 1), dtype=alg.dtype)
-    for s, tc in alg.block_maps:
-        mc = oracle._matmul(z, tc, p).reshape(len(z), s, s)
-        part = oracle._poly_mul_batch(part, oracle._batched_charpoly(mc, p), p)
+    maps, groups = alg.block_groups
+    for s, cols, start in groups:
+        mc = oracle._matmul(z, maps[:, start : start + cols.size * s], p).reshape(len(z), len(cols), s, s)
+        for j in range(len(cols)):
+            part = oracle._poly_mul_batch(part, oracle._batched_charpoly(mc[:, j], p), p)
     return part
 
 
@@ -413,6 +415,24 @@ class TestNumpyExactness:
             assert r["oracle"] and r["engine"] and r["agree"], (ring, p)
 
 
+def mixed_size_bases():
+    """Orders at 3 over the trivial group whose local base has prime
+    blocks of different sizes: a semiprime one (radical 0), a hereditary
+    one and a non-hereditary one, each with a rank-1 block beside a
+    rank-4 or rank-6 one."""
+    one = validate_order([[0]], ZZ, M3)
+    yield "M_1 x M_2", graded_order(G1, LocalBase((one, validate_order([[0, 0], [0, 0]], ZZ, M3))), {}), True
+    yield "M_1 x staircase (2,1)", graded_order(G1, LocalBase((one, hereditary_staircase((2, 1), ZZ, M3))), {}), True
+    yield "staircase (1,1) x M_1", graded_order(G1, LocalBase((hereditary_staircase((1, 1), ZZ, M3), one)), {}), True
+    yield "M_1 x non-hereditary", graded_order(G1, LocalBase((one, validate_order([[0, 0], [2, 0]], ZZ, M3))), {}), False
+
+
+def test_mixed_block_sizes_agree_with_engine():
+    for name, order, hereditary in mixed_size_bases():
+        r = oracle_report(order, M3)
+        assert r["oracle"] is r["engine"] is hereditary, name
+
+
 class TestBlockCertificate:
     @staticmethod
     def whole_space_annihilators(alg, basis):
@@ -435,6 +455,7 @@ class TestBlockCertificate:
         cases = [(order, m) for order in _sweep_graded_corpus() for m in order.places()]
         cases += [(gauss, P5), (gauss, Q5)]
         cases.append((graded_order(G1, LocalBase((hereditary_staircase((2, 1), ZI, m3i),)), {}), m3i))
+        cases += [(order, M3) for _, order, _ in mixed_size_bases()]
         kinds = set()
         for order, m in cases:
             a = flatten(order, m)
@@ -445,7 +466,9 @@ class TestBlockCertificate:
             perms = [comp.perm for comp in order.localize(m).components.values()]
             kinds.add("inert" if a.degree == 2 else "split")
             kinds.add("permuted" if any(list(pm) != sorted(pm) for pm in perms) else "kept")
-        assert kinds == {"inert", "split", "permuted", "kept"}
+            kinds.add("mixed" if len({len(col) for col in a.blocks}) > 1 else "one size")
+            kinds.add("radical" if len(basis) else "semiprime")
+        assert kinds == {"inert", "split", "permuted", "kept", "mixed", "one size", "radical", "semiprime"}
 
     def test_proper_ideal_that_is_not_nilpotent(self):
         # M_2(F_3) x M_2(F_3) and its first factor: a two-sided ideal
