@@ -9,9 +9,11 @@ form fails), certified as an ideal, as nilpotent and by a re-run on the
 quotient.  The chain computes Hessenberg characteristic polynomials only
 for the pair products whose left multiplication is not nilpotent, which
 a few squarings decide; a nilpotent one has x^n, so the screen changes
-no coefficient.  Hereditariness is then radical invertibility, decided
-by linear algebra over the residue field at the A/mA and m^-1*A/A
-levels.
+no coefficient.  Screen and polynomials run once per line: products that
+are scalar multiples of each other share them, rescaled.
+Hereditariness is then radical invertibility, decided by linear algebra
+over the residue field at the A/mA and m^-1*A/A levels, with the rank
+taken in A/J.
 
 Left multiplication keeps each column of matrix units (e_ij * e_jk =
 e_ik) and right multiplication each row, so the certificate reads the
@@ -356,15 +358,21 @@ def _rref(mat, p):
     return a, pivots
 
 
+def _complement(basis, pivots, p):
+    """The (n, n - d) matrix C of the n - d functionals x[f] - x[pivots] @
+    basis[:, f], one per free column f of a reduced-echelon basis (d, n):
+    x @ C == 0 exactly when x lies in the row span, the rows of C.T span
+    the right kernel, and rank([basis; S]) == d + rank(S @ C)."""
+    free = np.ones(basis.shape[1], dtype=bool)
+    free[pivots] = False
+    out = np.eye(basis.shape[1], dtype=basis.dtype)[:, free]
+    out[pivots] = -basis[:, free] % p
+    return out
+
+
 def _nullspace(mat, p):
     """Basis of the right kernel, as row vectors."""
-    basis, pivots = _row_basis(mat, p)
-    ncols = basis.shape[1]
-    free = [c for c in range(ncols) if c not in pivots]
-    out = np.zeros((len(free), ncols), dtype=basis.dtype)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = (-basis[:, free].T) % p
-    return out
+    return _complement(*_row_basis(mat, p), p).T
 
 
 def _row_basis(mat, p):
@@ -567,10 +575,15 @@ class _Alg:
         return _Alg(self.p, self.n, self.e2, self.e1, self.tgt, self.coef, self.row_blocks, self.blocks)
 
     @cached_property
+    def radical_echelon(self):
+        """The chain's reduced-echelon basis and pivots, uncertified."""
+        return _row_basis(_radical_chain(self), self.p)
+
+    @cached_property
     def radical(self):
         """Reduced-echelon basis of the radical, certified (see
         radical_mod_m), and its two annihilators (see _certify)."""
-        basis, pivots = _row_basis(_radical_chain(self), self.p)
+        basis, pivots = self.radical_echelon
         annihilators = _certify(self, basis, pivots)
         if 0 < len(basis) < self.n and len(_radical_chain(_quotient(self, basis, pivots))):
             raise OracleError("radical certification failed: quotient has a radical")
@@ -667,7 +680,9 @@ class _Alg:
         The products are made a few rows k at a time, for l >= k only,
         and only the nonzero ones kept, so that the d*d products never
         exist at once.  One block's matrices at a time are built and
-        screened."""
+        screened.  All of this runs once per line: a product lam*z of the
+        line's representative z gets coefficient i of z's polynomial times
+        lam**(n-i), and is nilpotent exactly when z is."""
         p, n = self.p, self.n
         d = len(v)
         ku, lu = np.triu_indices(d)
@@ -680,12 +695,22 @@ class _Alg:
             zp.append(z[nonzero])
             live.append(a * d - a * (a - 1) // 2 + nonzero)  # pairs before row a
         zp, live = np.concatenate(zp), np.concatenate(live)
-        # per block: the live pairs not nilpotent there, and their matrices
+        # the representative of a line is the first product divided by its
+        # leading entry lam; quotients compare by value (bytes, or the
+        # Python ints of an object row)
+        lam = zp[np.arange(len(zp)), np.argmax(zp != 0, axis=1)]
+        norm = zp * _inverse(lam, p)[:, None] % p
+        keys = map(tuple, norm.tolist()) if norm.dtype == object else map(bytes, norm)
+        index: dict = {}
+        head = np.array([index.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+        first, line = np.unique(head, return_inverse=True)
+        z = norm[first]
+        # per block: the representatives not nilpotent there, and their matrices
         maps, groups = self.block_groups
-        hot, survive = [], np.zeros(len(zp), dtype=bool)
+        hot, survive = [], np.zeros(len(z), dtype=bool)
         for s, cols, start in groups:
             for j in range(start, start + cols.size * s, s * s):
-                m = _matmul(zp, maps[:, j : j + s * s], p).reshape(len(zp), s, s)
+                m = _matmul(z, maps[:, j : j + s * s], p).reshape(len(z), s, s)
                 keep = ~_nilpotent(m, p)
                 survive |= keep
                 hot.append((s, keep, m[keep]))
@@ -693,14 +718,20 @@ class _Alg:
         for s, keep, m in hot:
             if keep.any():
                 # x^s on the survivors nilpotent in this block
-                cp = np.zeros((len(zp), s + 1), dtype=self.dtype)
+                cp = np.zeros((len(z), s + 1), dtype=self.dtype)
                 cp[:, s] = 1
                 cp[keep] = _batched_charpoly(m, p)
                 part = _poly_mul_batch(cp[survive], part, p)
+        # det(xI - lam*L) = lam**n * det((x/lam)I - L), on each survivor's line
+        rows = np.flatnonzero(survive[line])
+        w = part.shape[1]
+        scale = np.ones((len(rows), w), dtype=self.dtype)
+        for i in range(w - 2, -1, -1):
+            scale[:, i] = scale[:, i + 1] * lam[rows] % p
         coeffs = np.zeros((len(ku), n + 1), dtype=self.dtype)
         coeffs[:, n] = 1
         # blocks nilpotent on every survivor only shift its coefficients up
-        coeffs[live[survive], n + 1 - part.shape[1] :] = part
+        coeffs[live[rows], n + 1 - w :] = part[(np.cumsum(survive) - 1)[line[rows]]] * scale % p
         return coeffs, (ku, lu)
 
 
@@ -738,10 +769,9 @@ def _certify(alg: _Alg, basis, pivots):
     block.  Per side one product of the basis by block_groups gives every
     block's s*s matrices, in stacks of equal-size blocks.
 
-    x lies in J exactly when x @ dual == 0, for the n - d functionals
-    x[free] - x[pivots] @ basis[:, free] (the basis is the identity at its
-    pivots).  The ideal check applies the block's rows of dual to the
-    block coordinates of r_k * e_l and of e_l * r_k.
+    x lies in J exactly when x @ dual == 0, dual the complement matrix of
+    the basis (see _complement).  The ideal check applies the block's rows
+    of dual to the block coordinates of r_k * e_l and of e_l * r_k.
 
     An ideal spanned by nilpotent elements is nilpotent, so nilpotency is
     checked on the basis alone (by _nilpotent, on its left
@@ -759,10 +789,7 @@ def _certify(alg: _Alg, basis, pivots):
     them at once; each basis vector is 1 at its free index, so ordered by
     it the rows are the reduced nullspace basis of the whole system."""
     p, n, d = alg.p, alg.n, len(basis)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    dual = np.eye(n, dtype=alg.dtype)[:, free]
-    dual[pivots] = -basis[:, free] % p
+    dual = _complement(basis, pivots, p)
     annihilators, nilpotent = [], True
     for side in (alg, alg.opposite):
         maps, groups = side.block_groups
@@ -793,14 +820,11 @@ def _certify(alg: _Alg, basis, pivots):
 def _quotient(alg: _Alg, basis, pivots) -> _Alg:
     """The quotient by the span of a reduced-echelon basis."""
     p, n = alg.p, alg.n
-    comp = [c for c in range(n) if c not in pivots]
-    q = len(comp)
     # proj[t] = the image of e_t in the basis of complement indices
-    proj = np.zeros((n, q), dtype=alg.dtype)
-    proj[comp, np.arange(q)] = 1
-    proj[pivots] = (-basis[:, comp]) % p
+    proj = _complement(basis, pivots, p)
+    q = proj.shape[1]
     cidx = np.full(n, -1)
-    cidx[comp] = np.arange(q)
+    cidx[np.setdiff1d(np.arange(n), pivots)] = np.arange(q)
     keep = (cidx[alg.e1] >= 0) & (cidx[alg.e2] >= 0)
     dense = np.zeros((q, q, q), dtype=alg.dtype)
     np.add.at(
@@ -831,7 +855,9 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
     right dual spans the order, and the left dual times J does too.  The
     duals are the annihilators _certify returned; r*b and b*r to first
     order in pi come from _Alg.products over the lo (mod p**2) and hi
-    (mod p) digits of w_products."""
+    (mod p) digits of w_products.  The rank is taken in A/J: since J's
+    basis is in reduced echelon form, rank([J; S]) = d + rank(S @ C) for
+    C its complement matrix (see _complement): n - d columns, not n."""
     if not radical_mod_m(A):
         return True  # J = mA, always invertible
     # what radical_mod_m computed: J*rann and lann*J lie in mA
@@ -840,6 +866,7 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
     if len(rann) == 0 or len(lann) == 0:
         return False
     p, n = alg.p, alg.n
+    dual = _complement(rad, alg.radical_echelon[1], p)
     e1, e2, tgt, lo, hi = A.w_products
     low = _Alg(p * p, n, e1, e2, tgt, lo, A.blocks)
     high = _Alg(p, n, e1, e2, tgt, hi, A.blocks)
@@ -854,7 +881,7 @@ def hereditary_oracle(A: StructureConstantOrder) -> bool:
             raise OracleError("value not divisible by the uniformizer")
         carry = rl // p if p_is_uniformizer else 0
         digits = (carry + high.products(*pair)) % p
-        if _rank(np.vstack([rad, alg.products(*span), digits]), p) != n:
+        if _rank(_matmul(np.vstack([alg.products(*span), digits]), dual, p), p) != n - len(rad):
             return False
     return True
 

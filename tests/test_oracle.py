@@ -315,6 +315,46 @@ class TestPairScreen:
                 seen.add("no live pair" if not live.any() else "all live nilpotent" if xn.all() else "survivors")
         assert seen == {"no live pair", "all live nilpotent", "survivors"}
 
+    def test_scaled_copies_share_a_line(self):
+        # v beside 2v and 3v: scaled copies at p = 5, an exact repeat and
+        # zero rows at p = 2, and the object dtype at the 33-bit prime
+        seen = set()
+        for name, a in self.algebras():
+            alg = oracle._Alg.of(a)
+            p = alg.p
+            v = oracle._nullspace(alg.trace_matrix().T, p)
+            if not len(v):
+                continue
+            v = np.vstack([v, 2 * v % p, 3 * v % p])
+            coeffs, _ = alg.pair_coeffs(v)
+            assert (coeffs == unscreened_pair_coeffs(alg, v)).all(), name
+            seen.add(p)
+        assert {2, 3, 5, LARGE_PRIMES[-1]} <= seen
+
+    def test_one_charpoly_per_line(self, monkeypatch):
+        # _batched_charpoly sees at most one row per distinct line of the
+        # live pair products of the basis e and of 2e, products of scaled
+        # matrix units
+        for m in (P5, Q5):
+            alg = oracle._Alg.of(flatten(gaussian_outer(3), m))
+            p, n = alg.p, alg.n
+            v = np.vstack([np.eye(n, dtype=alg.dtype), 2 * np.eye(n, dtype=alg.dtype)])
+            d = len(v)
+            ku, lu = np.triu_indices(d)
+            lines = set()
+            live = 0
+            for z in alg.products(v, v).reshape(d, d, n)[ku, lu].tolist():
+                if any(z):
+                    live += 1
+                    inv = pow(next(x for x in z if x), -1, p)
+                    lines.add(tuple(x * inv % p for x in z))
+            received = []
+            kernel = oracle._batched_charpoly
+            monkeypatch.setattr(oracle, "_batched_charpoly", lambda h, p: received.append(len(h)) or kernel(h, p))
+            alg.pair_coeffs(v)
+            monkeypatch.undo()
+            assert received and max(received) <= len(lines) < live, str(m)
+
     def test_nilpotent_screen(self):
         p = 5
         shift = np.eye(4, k=1, dtype=np.int64)  # nilpotent of index 4
@@ -381,6 +421,28 @@ class TestCertify:
 
 
 LARGE_PRIMES = (100000007, 2**31 - 1, 4294967311)
+
+
+class TestComplement:
+    @pytest.mark.parametrize("p", (2, 5, 2**31 - 1))
+    def test_rank_in_the_quotient(self, p):
+        # rank([J; S]) = d + rank(S @ C) for C the complement matrix of a
+        # reduced-echelon J, with S outside J, inside it, or partly in it
+        rng = random.Random(p)
+        dtype = oracle._dtype(p)
+
+        def rand(rows, cols):
+            return np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=dtype).reshape(rows, cols)
+
+        for n, d in [(6, 0), (6, 2), (9, 5), (12, 12), (12, 7)]:
+            basis, pivots = oracle._row_basis(rand(d, n), p)
+            comp = oracle._complement(basis, pivots, p)
+            assert comp.shape == (n, n - len(basis))
+            assert not oracle._matmul(basis, comp, p).any()
+            inside = oracle._matmul(rand(3, len(basis)), basis, p)
+            for s in (rand(4, n), inside, (inside + rand(3, n) * (rand(3, 1) % 2)) % p):
+                want = oracle._rank(np.vstack([basis, s]), p)
+                assert len(basis) + oracle._rank(oracle._matmul(s, comp, p), p) == want, (n, d)
 
 
 class TestNumpyExactness:
